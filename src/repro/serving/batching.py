@@ -164,27 +164,6 @@ class BackendBatchCostModel:
         return self._power(workload) * latency_s / concurrency
 
 
-class GPUBatchCostModel(BackendBatchCostModel):
-    """Deprecated shim: :class:`BackendBatchCostModel` over a raw platform.
-
-    Predates the backend protocol — it took any platform exposing the
-    :class:`~repro.baselines.gpu.GPUAppliance` batching interface
-    (``batched_request_latency_ms`` and ``run``) directly.  Kept so old
-    constructor call sites work unchanged; new code should build a
-    backend (``make_backend("gpu", ...)``) and use
-    :class:`BackendBatchCostModel`.
-    """
-
-    def __init__(self, platform) -> None:
-        for required in ("batched_request_latency_ms", "run"):
-            if not callable(getattr(platform, required, None)):
-                raise ConfigurationError(
-                    f"{type(platform).__name__} cannot price batches: it lacks "
-                    f"the {required!r} method of the GPU batching cost model"
-                )
-        super().__init__(as_backend(platform))
-
-
 class BatchFormationPolicy:
     """Base class: decides when queued requests are admitted as a batch.
 

@@ -108,8 +108,8 @@ class ApplianceFleet:
         self.faults = faults
         self.retry_policy = retry_policy
         self.degraded_mode = degraded_mode
-        # False streams fleet reports through a ReportAccumulator (flat
-        # memory on long traces), exactly like ApplianceServer.
+        # False keeps no records and sketches the percentiles (flat memory
+        # on long traces), exactly like ApplianceServer.
         self.retain_records = retain_records
         # Each member's platform spec (backend, name, or legacy model) is
         # resolved once at fleet build time.

@@ -64,12 +64,20 @@ class ServiceRequest:
     retryable: bool = True
 
     def __post_init__(self) -> None:
-        if self.arrival_time_s < 0:
-            raise ConfigurationError("arrival_time_s must be non-negative")
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ConfigurationError("slo_s must be positive when given")
-        if self.patience_s is not None and self.patience_s <= 0:
-            raise ConfigurationError("patience_s must be positive when given")
+        # Written as comparisons NaN fails, so NaN is rejected with the rest.
+        if not 0.0 <= self.arrival_time_s < math.inf:
+            raise ConfigurationError(
+                "arrival_time_s must be finite and non-negative, "
+                f"got {self.arrival_time_s!r}"
+            )
+        if self.slo_s is not None and not self.slo_s > 0.0:
+            raise ConfigurationError(
+                f"slo_s must be positive when given, got {self.slo_s!r}"
+            )
+        if self.patience_s is not None and not self.patience_s > 0.0:
+            raise ConfigurationError(
+                f"patience_s must be positive when given, got {self.patience_s!r}"
+            )
 
     @property
     def deadline_s(self) -> float:
@@ -433,8 +441,14 @@ def _parse_bool(value) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _replay_record(record: dict, line_number: int, source: str) -> dict:
-    """Validate and convert one raw log record into ServiceRequest kwargs."""
+def _replay_record(
+    record: dict, line_number: int, source: str
+) -> tuple[bool, ServiceRequest]:
+    """Validate and convert one raw log record into a request.
+
+    Returns whether the record carried its own ``request_id`` (records
+    without one get id 0 here and are renumbered in arrival order).
+    """
     try:
         kwargs = {
             "arrival_time_s": float(record["arrival_time_s"]),
@@ -466,7 +480,14 @@ def _replay_record(record: dict, line_number: int, source: str) -> dict:
             raise ConfigurationError(
                 f"{source}, record {line_number}: bad {name}: {error}"
             ) from error
-    return kwargs
+    has_id = "request_id" in kwargs
+    kwargs.setdefault("request_id", 0)
+    try:
+        return has_id, ServiceRequest(**kwargs)
+    except ConfigurationError as error:
+        raise ConfigurationError(
+            f"{source}, record {line_number}: {error}"
+        ) from error
 
 
 def replay_trace(path: str | Path, format: str = "auto") -> list[ServiceRequest]:
@@ -497,7 +518,7 @@ def replay_trace(path: str | Path, format: str = "auto") -> list[ServiceRequest]
             else "csv"
         )
 
-    records: list[dict] = []
+    records: list[tuple[bool, ServiceRequest]] = []
     source = str(path)
     if format == "jsonl":
         with path.open() as handle:
@@ -524,29 +545,30 @@ def replay_trace(path: str | Path, format: str = "auto") -> list[ServiceRequest]
             for line_number, record in enumerate(reader, start=2):
                 records.append(_replay_record(record, line_number, source))
 
-    with_ids = sum(1 for record in records if "request_id" in record)
+    with_ids = sum(1 for has_id, _ in records if has_id)
     if 0 < with_ids < len(records):
         raise ConfigurationError(
             f"{source}: {with_ids} of {len(records)} records carry a "
             f"request_id — give all records ids, or none"
         )
+    requests = sorted(
+        (request for _, request in records),
+        key=lambda request: request.arrival_time_s,
+    )
     if with_ids:
         seen: dict[int, int] = {}
-        for record in records:
-            request_id = record["request_id"]
-            seen[request_id] = seen.get(request_id, 0) + 1
+        for request in requests:
+            seen[request.request_id] = seen.get(request.request_id, 0) + 1
         duplicates = sorted(id for id, count in seen.items() if count > 1)
         if duplicates:
             raise ConfigurationError(
                 f"{source}: duplicate request_id values {duplicates} — "
                 f"per-request accounting would silently collapse them"
             )
-    records.sort(key=lambda record: record["arrival_time_s"])
+        return requests
     return [
-        ServiceRequest(request_id=index, **record)
-        if "request_id" not in record
-        else ServiceRequest(**record)
-        for index, record in enumerate(records)
+        dataclasses.replace(request, request_id=index)
+        for index, request in enumerate(requests)
     ]
 
 

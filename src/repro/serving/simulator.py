@@ -13,11 +13,13 @@ The loop is built for million-request traces: completion and retry events
 live in :class:`~repro.serving.calendar.CalendarQueue` s (O(1) amortized,
 pop order bit-identical to the heaps they replaced), arrivals are pulled
 one ahead from the trace (a generator trace is never materialized), and
-every outcome record flows through a *record sink* when it seals —
-``_RetainedSink`` keeps the classic exact report lists, while
-``retain_records=False`` streams them into a
+every outcome record seals into the report's
 :class:`~repro.serving.server.ReportAccumulator` (running counters plus
-online quantile sketches) so memory stays flat in the trace length.
+latency populations), which every report statistic reads.  The
+``retain_records`` flag picks the populations — exact samples, or quantile
+sketches so memory stays flat in the trace length — and whether the sealed
+records are also kept on the report's lists, which are then exactly what
+was sealed (statistics do not follow later edits to them).
 In-flight work holds its *provisional* completion records privately
 (:class:`_InflightDispatch` / :class:`_DecodeStream`); a record reaches the
 report only when the work really completes, which is also what makes unit
@@ -53,8 +55,8 @@ work fraction is carried over and its remaining work re-runs at the new
 concurrency's rate.  Superseded completion events stay in the calendar
 queue and are skipped by an epoch check (lazy deletion); a stream's
 provisional completion record seals with its revised finish time when it
-really completes, and the retained sink restores dispatch order at
-finalize.
+really completes, and the retained completed list is sorted back into
+dispatch order at finalize.
 
 Fault injection (``repro.serving.faults``) adds a fourth event source: a
 compiled :class:`~repro.serving.faults.FaultSchedule` feeds a timeline of
@@ -92,6 +94,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import ConfigurationError
 from repro.serving.batching import (
@@ -135,78 +138,6 @@ from repro.serving.server import (
 
 #: Abandonment reason for requests a (custom) policy never dispatched.
 ABANDON_UNSERVED = "unserved"
-
-
-class _RetainedSink:
-    """Exact-mode record sink: every sealed outcome lands on the report.
-
-    Dispatches seal in *completion* order, but the classic report contract
-    is *dispatch* order (FIFO traces read like the legacy serve loop, and
-    the property suite asserts monotone start times).  Batch ids are handed
-    out in dispatch order, so sorting the sealed records by
-    ``(batch_id, member position)`` at finalize reproduces the historical
-    completed list exactly — including after unit failures, because killed
-    provisional records simply never seal (no retraction bookkeeping).
-    """
-
-    def __init__(self, report: ServingReport) -> None:
-        self.report = report
-        self._sealed: list[tuple[int, int, CompletedRequest]] = []
-        self.num_completed = 0
-        self.last_finish_s = float("-inf")
-
-    def seal_dispatch(self, records: list[CompletedRequest]) -> None:
-        for member_index, record in enumerate(records):
-            self._sealed.append((record.batch_id, member_index, record))
-            self.num_completed += 1
-            if record.finish_time_s > self.last_finish_s:
-                self.last_finish_s = record.finish_time_s
-
-    def seal_abandoned(self, abandoned: AbandonedRequest) -> None:
-        self.report.abandoned.append(abandoned)
-
-    def seal_failed(self, failed: FailedRequest) -> None:
-        self.report.failed.append(failed)
-
-    def seal_failover(self, delay_s: float) -> None:
-        self.report.failover_delays_s.append(delay_s)
-
-    def finalize(self) -> None:
-        self._sealed.sort(key=lambda item: (item[0], item[1]))
-        self.report.completed.extend(record for _, _, record in self._sealed)
-        self._sealed.clear()
-
-
-class _StreamingSink:
-    """Flat-memory sink: seals records into the report's accumulator."""
-
-    def __init__(self, report: ServingReport, eps: float) -> None:
-        report.stats = ReportAccumulator(eps=eps)
-        self.stats = report.stats
-        self._failover_list = report.failover_delays_s
-
-    @property
-    def num_completed(self) -> int:
-        return self.stats.num_completed
-
-    @property
-    def last_finish_s(self) -> float:
-        return self.stats.last_finish_s
-
-    def seal_dispatch(self, records: list[CompletedRequest]) -> None:
-        self.stats.seal_dispatch(records)
-
-    def seal_abandoned(self, abandoned: AbandonedRequest) -> None:
-        self.stats.seal_abandoned(abandoned)
-
-    def seal_failed(self, failed: FailedRequest) -> None:
-        self.stats.seal_failed(failed)
-
-    def seal_failover(self, delay_s: float) -> None:
-        self.stats.seal_failover(delay_s)
-
-    def finalize(self) -> None:
-        pass
 
 
 @dataclass
@@ -379,8 +310,8 @@ class _SimulationState:
     scheduler: SchedulingPolicy
     batching: BatchFormationPolicy
     report: ServingReport
-    #: Record sink: retained (exact lists) or streaming (accumulator).
-    sink: _RetainedSink | _StreamingSink = None
+    #: Whether sealed records also land on the report's lists.
+    retain_records: bool = True
     # False until a patience-carrying request enters the queue, letting
     # dispatch skip the per-event queue sweep (it can only be a no-op until
     # then — the sweep inspects queue members only, and a queue without
@@ -418,10 +349,20 @@ class _SimulationState:
         if request.patience_s is not None:
             self.has_patience = True
 
+    # ------------------------------------------------------------- sealing
+    def seal_dispatch(self, records: list[CompletedRequest]) -> None:
+        """Seal one completed dispatch into the report."""
+        self.report.stats.seal_dispatch(records)
+        if self.retain_records:
+            self.report.completed.extend(records)
+
     def abandon(self, request: ServiceRequest, time_s: float, reason: str) -> None:
-        self.sink.seal_abandoned(
-            AbandonedRequest(request=request, abandoned_time_s=time_s, reason=reason)
+        abandoned = AbandonedRequest(
+            request=request, abandoned_time_s=time_s, reason=reason
         )
+        self.report.stats.seal_abandoned(abandoned)
+        if self.retain_records:
+            self.report.abandoned.append(abandoned)
 
     def shed_queue(self, now: float) -> None:
         """Degraded mode: drop queued shed-class traffic while capacity is low."""
@@ -749,9 +690,7 @@ class _SimulationState:
                 stream.request.workload, stream.concurrency, elapsed
             )
         unit.active -= 1
-        self.sink.seal_dispatch(
-            [dataclasses.replace(stream.record, finish_time_s=now)]
-        )
+        self.seal_dispatch([dataclasses.replace(stream.record, finish_time_s=now)])
         self.report.total_energy_joules += stream.energy_joules
         # The departure frees decode bandwidth for the survivors.
         self.reprice_streams(unit, now)
@@ -761,7 +700,10 @@ class _SimulationState:
         """Log kill-to-restart latency when a retried request re-dispatches."""
         kill_time = self.pending_failover.pop(request.request_id, None)
         if kill_time is not None:
-            self.sink.seal_failover(now - kill_time)
+            delay_s = now - kill_time
+            self.report.stats.seal_failover(delay_s)
+            if self.retain_records:
+                self.report.failover_delays_s.append(delay_s)
 
     def apply_fault(self, unit: ServerUnit, event: FaultEvent, now: float) -> None:
         """Apply one compiled fault-timeline event to ``unit``."""
@@ -871,14 +813,12 @@ class _SimulationState:
         policy = self.retry_policy
 
         def fail(reason: str) -> None:
-            self.sink.seal_failed(
-                FailedRequest(
-                    request=request,
-                    failed_time_s=now,
-                    reason=reason,
-                    attempts=failures,
-                )
+            failed = FailedRequest(
+                request=request, failed_time_s=now, reason=reason, attempts=failures
             )
+            self.report.stats.seal_failed(failed)
+            if self.retain_records:
+                self.report.failed.append(failed)
 
         if policy is None or policy.max_attempts == 1 or not request.retryable:
             fail(FAIL_UNIT)
@@ -945,11 +885,12 @@ def simulate(
     to ``"none"``: every dispatch is a singleton and the simulation is
     identical to the pre-batching simulator.
 
-    ``retain_records=True`` (default) keeps every outcome record on the
-    report, exactly as always.  ``retain_records=False`` seals records into
-    a :class:`~repro.serving.server.ReportAccumulator` on ``report.stats``
-    instead — running counters plus ``quantile_eps``-rank-error quantile
-    sketches — so report memory is O(1) in the trace length.
+    Every outcome seals into a
+    :class:`~repro.serving.server.ReportAccumulator` on ``report.stats``.
+    ``retain_records=True`` (default) gives it exact populations and keeps
+    every outcome record on the report's lists.  ``retain_records=False``
+    gives it ``quantile_eps``-rank-error quantile sketches and keeps no
+    records, so report memory is O(1) in the trace length.
 
     ``faults`` is an optional :class:`~repro.serving.faults.FaultSchedule`,
     compiled here against the concrete units; ``retry_policy`` routes
@@ -1006,24 +947,21 @@ def simulate(
         appliance_clusters[unit.appliance] = appliance_clusters.get(unit.appliance, 0) + 1
     compiled = faults.compile(units) if faults is not None else None
     fault_events: tuple[FaultEvent, ...] = compiled.events if compiled else ()
+    stats = ReportAccumulator(eps=quantile_eps, exact=retain_records)
+    if network is not None:
+        stats.cross_rack_members = network.cross_rack_members()
     report = ServingReport(
         platform=platform,
         num_clusters=len(units),
         scheduler=scheduler.name,
         appliance_clusters=appliance_clusters,
         batch_policy=policy.name,
+        stats=stats,
     )
     report.unit_appliance = {unit.unit_id: unit.appliance for unit in units}
     if compiled:
         report.unit_downtime = dict(compiled.downtime)
         report.link_downtime = dict(compiled.link_downtime)
-    if network is not None:
-        report.cross_rack_members = network.cross_rack_members()
-    if retain_records:
-        sink = _RetainedSink(report)
-    else:
-        sink = _StreamingSink(report, eps=quantile_eps)
-        sink.stats.cross_rack_members = report.cross_rack_members
 
     # Lists are sorted defensively (as always); anything else streams
     # through with a one-arrival lookahead and an order check.
@@ -1040,7 +978,7 @@ def simulate(
         scheduler=scheduler,
         batching=policy,
         report=report,
-        sink=sink,
+        retain_records=retain_records,
         retry_policy=retry_policy,
         degraded_mode=degraded_mode,
         retry_budget_left=(
@@ -1105,7 +1043,7 @@ def simulate(
                     continue
                 now = completion_s
                 unit.active -= 1
-                sink.seal_dispatch(inflight.records)
+                state.seal_dispatch(inflight.records)
         elif next_fault_s <= min(next_retry_s, next_arrival_s, state.flush_at_s):
             event = fault_events[fault_index]
             fault_index += 1
@@ -1136,7 +1074,10 @@ def simulate(
             state.abandon(request, now, ABANDON_UNSERVED)
 
     report.first_arrival_s = first_arrival_s
-    if sink.num_completed:
-        report.makespan_s = max(0.0, sink.last_finish_s - first_arrival_s)
-    sink.finalize()
+    if stats.num_completed:
+        report.makespan_s = max(0.0, stats.last_finish_s - first_arrival_s)
+    # Dispatches seal in completion order; batch ids are handed out in
+    # dispatch order and each dispatch's records seal together, so a stable
+    # sort by batch id restores dispatch order, members in position order.
+    report.completed.sort(key=attrgetter("batch_id"))
     return report

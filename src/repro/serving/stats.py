@@ -1,9 +1,20 @@
-"""Online statistics for streaming serving reports.
+"""Latency populations behind serving reports.
 
-Million-request traces rule out storing every response time and sorting
-percentile arrays on demand; the streaming report path keeps a
-:class:`QuantileSketch` per latency population instead.  The sketch is the
-Greenwald–Khanna (SIGMOD 2001) summary: a sorted list of
+A report answers every per-request latency statistic (count, sum, mean,
+percentiles) from a *population* fed as outcomes seal.  Two populations
+share one surface (``add``, ``count``, ``total``, ``mean``,
+``query(percentile)``, ``rank_error_bound()``, ``values()``, ``==``):
+
+* :class:`ExactSample` keeps every value and answers percentiles exactly,
+  as ``np.percentile`` over the sorted values — retained-mode reports.
+* :class:`QuantileSketch` keeps a bounded summary instead, because
+  million-request traces rule out storing every response time — streaming
+  reports.
+
+Both accumulate ``total`` with ``+=`` in add order, so the two modes agree
+bitwise on sums and means.
+
+The sketch is the Greenwald–Khanna (SIGMOD 2001) summary: a sorted list of
 ``(value, g, delta)`` tuples maintaining, for every observed value, bounds
 on its rank that are at most ``2 * eps * n`` apart.  Any quantile query is
 then answered by an *observed* value whose true rank is within
@@ -20,11 +31,20 @@ their reports bit for bit.
 
 from __future__ import annotations
 
+from array import array
+
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 #: Default rank-error budget: quantile answers are within 0.5% of the
 #: requested rank, i.e. a p99 over 1M samples lands between p98.5 and p99.5.
 DEFAULT_EPS = 0.005
+
+
+def _check_percentile(percentile: float) -> None:
+    if not 0.0 <= percentile <= 100.0:
+        raise ConfigurationError(f"percentile must be in [0, 100], got {percentile}")
 
 
 class QuantileSketch:
@@ -131,10 +151,7 @@ class QuantileSketch:
 
     def query(self, percentile: float) -> float:
         """Value at ``percentile`` (0..100), within the rank-error bound."""
-        if not 0.0 <= percentile <= 100.0:
-            raise ConfigurationError(
-                f"percentile must be in [0, 100], got {percentile}"
-            )
+        _check_percentile(percentile)
         if self.count == 0:
             return 0.0
         self._flush()
@@ -151,6 +168,13 @@ class QuantileSketch:
                 return previous
             previous = value
         return self._entries[-1][0]
+
+    def values(self) -> np.ndarray:
+        """Refused: a sketch keeps a summary, not its observations."""
+        raise ConfigurationError(
+            "a quantile sketch does not retain its values; serve with "
+            "retain_records=True for the exact per-value array"
+        )
 
     def __eq__(self, other) -> bool:
         """Sketches are equal when their visible statistics agree.
@@ -172,9 +196,61 @@ class QuantileSketch:
         )
 
 
+class ExactSample:
+    """Every observed value, answering percentiles exactly.
+
+    ``query`` is ``np.percentile`` over the values, sorted once per count
+    change; ``rank_error_bound()`` is 0.  Values live in an ``array('d')``
+    (8 bytes each), in add order.
+    """
+
+    __slots__ = ("_entries", "count", "total", "_sorted")
+
+    def __init__(self) -> None:
+        self._entries = array("d")
+        self.count = 0
+        self.total = 0.0
+        self._sorted: np.ndarray | None = None
+
+    def add(self, value: float) -> None:
+        """Insert one observation."""
+        self._entries.append(value)
+        self.count += 1
+        self.total += value
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def rank_error_bound(self) -> float:
+        return 0.0
+
+    def values(self) -> np.ndarray:
+        """A fresh array of the observations, in add order."""
+        return np.array(self._entries, dtype=np.float64)
+
+    def query(self, percentile: float) -> float:
+        """Exact value at ``percentile`` (0..100), numpy's linear convention."""
+        _check_percentile(percentile)
+        if self.count == 0:
+            return 0.0
+        if self._sorted is None or self._sorted.size != self.count:
+            self._sorted = np.sort(self.values())
+        return float(np.percentile(self._sorted, percentile))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExactSample):
+            return NotImplemented
+        return (
+            self.count == other.count
+            and self.total == other.total
+            and self._entries == other._entries
+        )
+
+
 def merge_distribution(into: dict[int, int], key: int, count: int = 1) -> None:
     """Add ``count`` observations of ``key`` to a histogram dict in place."""
     into[key] = into.get(key, 0) + count
 
 
-__all__ = ["DEFAULT_EPS", "QuantileSketch", "merge_distribution"]
+__all__ = ["DEFAULT_EPS", "ExactSample", "QuantileSketch", "merge_distribution"]

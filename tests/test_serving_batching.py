@@ -7,10 +7,10 @@ from repro.serving import (
     ApplianceFleet,
     ApplianceServer,
     BATCH_POLICIES,
+    BackendBatchCostModel,
     ContinuousBatching,
     DynamicBatching,
     FleetMember,
-    GPUBatchCostModel,
     LatencyOracle,
     NoBatching,
     ServerUnit,
@@ -26,6 +26,7 @@ from repro.serving.schedulers import (
     SchedulingPolicy,
     make_scheduler,
 )
+from repro.backends import as_backend
 from repro.workloads import Workload
 from serving_doubles import (
     BatchableTokenPlatform as _BatchableTokenPlatform,
@@ -74,12 +75,12 @@ class TestBatchCostModel:
 
     def test_requires_the_gpu_batching_interface(self):
         with pytest.raises(ConfigurationError):
-            GPUBatchCostModel(_FixedLatencyPlatform(1.0))
+            BackendBatchCostModel(as_backend(_FixedLatencyPlatform(1.0)))
 
     def test_batch_priced_at_dominant_shape(self):
         platform = _BatchableTokenPlatform(fixed_ms_per_token=100.0,
                                            marginal_ms_per_token=10.0)
-        costs = GPUBatchCostModel(platform)
+        costs = BackendBatchCostModel(as_backend(platform))
         workloads = [Workload(1, 10), Workload(1, 4)]
         expected_ms = platform.batched_request_latency_ms(Workload(1, 10), 2)
         assert costs.batch_latency_s(workloads) == pytest.approx(expected_ms / 1e3)
@@ -88,7 +89,7 @@ class TestBatchCostModel:
         # The appliance draws its full power for the batch's own wall
         # clock (the estimate the simulator pairs this call with).
         platform = _BatchableTokenPlatform(power_watts=50.0)
-        costs = GPUBatchCostModel(platform)
+        costs = BackendBatchCostModel(as_backend(platform))
         workloads = [Workload(1, 10), Workload(1, 4)]
         latency_s = costs.batch_latency_s(workloads)
         assert costs.batch_energy_joules(workloads, latency_s) == pytest.approx(
@@ -97,7 +98,7 @@ class TestBatchCostModel:
 
     def test_continuous_energy_shared_by_concurrency(self):
         platform = _BatchableTokenPlatform(power_watts=50.0)
-        costs = GPUBatchCostModel(platform)
+        costs = BackendBatchCostModel(as_backend(platform))
         alone = costs.continuous_energy_joules(Workload(1, 10), 1, 2.0)
         shared = costs.continuous_energy_joules(Workload(1, 10), 4, 2.0)
         assert shared == pytest.approx(alone / 4)

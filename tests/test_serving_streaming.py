@@ -225,14 +225,10 @@ def _assert_counters_match(retained, streaming):
     assert streaming.total_energy_joules == retained.total_energy_joules
     assert streaming.makespan_s == retained.makespan_s
     assert streaming.first_arrival_s == retained.first_arrival_s
-    # Busy time is a float sum accumulated in a different order per mode,
-    # so utilization agrees to the ulp, not bit for bit.
-    assert streaming.utilization == pytest.approx(
-        retained.utilization, rel=1e-12
-    )
-    assert streaming.availability == pytest.approx(
-        retained.availability, rel=1e-12
-    )
+    # Both modes seal the same outcomes in the same order into one
+    # accumulator, so every float sum and mean agrees bit for bit.
+    assert streaming.utilization == retained.utilization
+    assert streaming.availability == retained.availability
     assert streaming.goodput_fraction == retained.goodput_fraction
     assert streaming.slo_attainment == retained.slo_attainment
     assert streaming.mean_batch_size == retained.mean_batch_size
@@ -240,12 +236,8 @@ def _assert_counters_match(retained, streaming):
         streaming.batch_size_distribution() == retained.batch_size_distribution()
     )
     assert streaming.service_classes() == retained.service_classes()
-    assert streaming.mean_response_time_s == pytest.approx(
-        retained.mean_response_time_s, rel=1e-12, abs=1e-12
-    )
-    assert streaming.mean_queueing_delay_s == pytest.approx(
-        retained.mean_queueing_delay_s, rel=1e-12, abs=1e-12
-    )
+    assert streaming.mean_response_time_s == retained.mean_response_time_s
+    assert streaming.mean_queueing_delay_s == retained.mean_queueing_delay_s
 
 
 def _assert_percentiles_within_rank_bound(retained, streaming):

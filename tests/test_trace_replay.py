@@ -83,6 +83,16 @@ class TestReplayCSV:
         with pytest.raises(ConfigurationError):
             replay_trace(path)
 
+    def test_nan_arrival_reported_with_location(self, tmp_path):
+        # Regression: a ``nan`` arrival parsed as a float and crashed the
+        # simulator instead of being reported against its record.
+        path = tmp_path / "requests.csv"
+        path.write_text(
+            "arrival_time_s,input_tokens,output_tokens\n0.0,8,8\nnan,8,8\n"
+        )
+        with pytest.raises(ConfigurationError, match="record 3.*arrival_time_s"):
+            replay_trace(path)
+
     def test_missing_file_and_bad_format(self, tmp_path):
         with pytest.raises(ConfigurationError):
             replay_trace(tmp_path / "absent.csv")
