@@ -33,7 +33,7 @@ from repro.serving import (
 )
 from repro.serving.calendar import CalendarQueue
 from repro.serving.requests import ServiceRequest
-from repro.serving.stats import DEFAULT_EPS, QuantileSketch
+from repro.serving.stats import DEFAULT_EPS, ExactSample, QuantileSketch
 from serving_doubles import FixedLatencyPlatform as _FixedLatencyPlatform
 from test_serving_properties import (
     SEEDS,
@@ -202,6 +202,84 @@ class TestQuantileSketch:
             QuantileSketch().query(101)
 
 
+    def test_values_are_refused(self):
+        sketch = QuantileSketch()
+        sketch.add(1.0)
+        with pytest.raises(ConfigurationError):
+            sketch.values()
+
+
+class TestExactSample:
+    def test_query_matches_numpy_percentile(self):
+        rng = np.random.default_rng(5)
+        data = rng.lognormal(0.0, 1.0, size=1_001)
+        sample = ExactSample()
+        for value in data:
+            sample.add(float(value))
+        for percentile in (0.0, 1.0, 12.5, 50.0, 95.0, 99.0, 99.9, 100.0):
+            assert sample.query(percentile) == float(np.percentile(data, percentile))
+
+    def test_query_follows_later_adds(self):
+        sample = ExactSample()
+        for value in (1.0, 2.0, 3.0):
+            sample.add(value)
+        assert sample.query(100) == 3.0
+        sample.add(10.0)
+        assert sample.query(100) == 10.0
+        assert sample.query(50) == float(np.percentile([1.0, 2.0, 3.0, 10.0], 50))
+
+    def test_total_is_the_sketch_sum_bitwise(self):
+        rng = np.random.default_rng(11)
+        data = [float(v) for v in rng.exponential(0.7, size=2_000)]
+        sample, sketch = ExactSample(), QuantileSketch()
+        for value in data:
+            sample.add(value)
+            sketch.add(value)
+        assert sample.count == sketch.count == len(data)
+        assert sample.total == sketch.total
+        assert sample.mean == sketch.mean
+
+    def test_rank_error_bound_is_zero(self):
+        sample = ExactSample()
+        for value in range(500):
+            sample.add(float(value))
+        assert sample.rank_error_bound() == 0.0
+
+    def test_values_are_a_fresh_copy_in_add_order(self):
+        sample = ExactSample()
+        for value in (3.0, 1.0, 2.0):
+            sample.add(value)
+        values = sample.values()
+        assert values.dtype == np.float64
+        assert values.tolist() == [3.0, 1.0, 2.0]
+        values[0] = -1.0
+        assert sample.values().tolist() == [3.0, 1.0, 2.0]
+
+    def test_equality(self):
+        first, second, reordered = ExactSample(), ExactSample(), ExactSample()
+        for value in (1.0, 2.0, 3.0):
+            first.add(value)
+            second.add(value)
+        for value in (3.0, 2.0, 1.0):
+            reordered.add(value)
+        assert first == second
+        assert first != reordered
+        assert first != QuantileSketch()
+
+    def test_empty_sample_answers_zero(self):
+        sample = ExactSample()
+        assert sample.count == 0
+        assert sample.query(50) == 0.0
+        assert sample.mean == 0.0
+        assert sample.values().size == 0
+
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            ExactSample().query(101)
+        with pytest.raises(ConfigurationError):
+            ExactSample().query(-1)
+
+
 # ------------------------------------------- streaming vs retained equivalence
 
 
@@ -311,6 +389,20 @@ class TestStreamingReportSurface:
         assert report.response_time_percentile_s(99) > 0.0
         assert report.queueing_delay_percentile_s(50) >= 0.0
         assert report.has_slo_requests is False
+
+
+    def test_retained_report_is_a_sealed_snapshot(self):
+        trace = poisson_trace(4.0, 30.0, seed=9)
+        report = ApplianceServer(
+            _FixedLatencyPlatform(0.3), num_clusters=2, platform_name="solo"
+        ).serve(trace)
+        mean = report.mean_response_time_s
+        p99 = report.response_time_percentile_s(99)
+        count = report.num_requests
+        report.completed.clear()
+        assert report.mean_response_time_s == mean
+        assert report.response_time_percentile_s(99) == p99
+        assert report.num_requests == count
 
 
 # ----------------------------------------------------------------- lazy traces
