@@ -11,6 +11,7 @@ from _bench_helpers import print_header, run_once
 from repro.analysis.experiments import run_figure8
 from repro.analysis.reports import format_table
 from repro.core.tiling import TILE_DESIGN_POINTS
+from repro.fpga.resources import estimate_core_resources
 
 
 def test_figure8_tiling_design_space(benchmark):
@@ -27,7 +28,7 @@ def test_figure8_tiling_design_space(benchmark):
     print_header("Figure 8b — MPU resource utilization per tile shape")
     resource_rows = []
     for point in ((16, 64), (32, 32), (64, 16)):
-        report = result.resource_reports[point]
+        report = estimate_core_resources(d=point[0], l=point[1])
         utilization = report.components["mpu"].utilization(report.spec.resources)
         resource_rows.append([
             f"d={point[0]}, l={point[1]}",

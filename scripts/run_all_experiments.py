@@ -55,6 +55,7 @@ def section_figure4() -> None:
 def section_figure8() -> None:
     fig8 = experiments.run_figure8()
     print("MHA GFLOP/s:", {k: round(v, 1) for k, v in fig8.mha_gflops.items()})
+    print("Pareto front:", fig8.front_points())
     print("chosen point:", fig8.cheapest_best_point())
 
 
@@ -130,8 +131,6 @@ def section_dse() -> None:
         values = {name: round(value, 4)
                   for name, value in member.vector.as_dict().items()}
         print(f"  {member.candidate.key}: {values}")
-    fig8_dse = experiments.run_figure8_dse()
-    print("Fig. 8 slice front:", fig8_dse.front_points())
 
 
 #: Every report section: title -> renderer.  Order matches the paper.

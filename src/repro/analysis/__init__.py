@@ -37,12 +37,12 @@ from repro.analysis.experiments import (
     BatchingComparisonResult,
     SchedulerComparisonResult,
     ServingCapacityResult,
-    Figure8DSEResult,
+    Figure8Result,
     fleet_capacity_plan,
     run_batch_capacity_sweep,
     run_batching_comparison,
     run_design_space_exploration,
-    run_figure8_dse,
+    run_figure8,
     run_scheduler_comparison,
     run_serving_capacity,
 )
@@ -77,12 +77,12 @@ __all__ = [
     "experiments",
     "BatchCapacitySweepResult",
     "BatchingComparisonResult",
-    "Figure8DSEResult",
+    "Figure8Result",
     "SchedulerComparisonResult",
     "ServingCapacityResult",
     "fleet_capacity_plan",
     "run_design_space_exploration",
-    "run_figure8_dse",
+    "run_figure8",
     "run_batch_capacity_sweep",
     "run_batching_comparison",
     "run_scheduler_comparison",

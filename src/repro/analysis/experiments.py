@@ -28,14 +28,13 @@ from repro.analysis.workload_presets import (
     PRIMARY_SETUP,
     SCALABILITY_SETUP,
 )
-from repro.backends import Backend, make_backend, resolve_backend
+from repro.backends import Backend, make_backend
 from repro.baselines.gpu import GPUAppliance
 from repro.errors import ConfigurationError
 from repro.baselines.tpu import TPUBaseline
 from repro.core.appliance import DFXAppliance
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.core.tiling import design_space_mha_sweep
-from repro.fpga.resources import CoreResourceReport, design_space_resource_sweep, estimate_core_resources
+from repro.fpga.resources import CoreResourceReport, estimate_core_resources
 from repro.model.accuracy import AccuracyComparison, compare_pipelines
 from repro.model.config import GPT2Config, GPT2_1_5B, GPT2_345M, GPT2_TEST_SMALL, PAPER_MODELS
 from repro.model.datasets import paper_datasets
@@ -56,7 +55,6 @@ from repro.serving import (
     FleetMember,
     NetworkLink,
     NetworkModel,
-    PlatformModel,
     RetryPolicy,
     ServingReport,
     WorkloadMix,
@@ -138,32 +136,61 @@ def run_figure4(
 # ---------------------------------------------------------------------- Fig. 8
 @dataclass(frozen=True)
 class Figure8Result:
-    """Design-space exploration of the tile shape (d, l)."""
+    """Fig. 8 as a factorial slice of the DSE engine over tile shapes (d, l).
 
-    mha_gflops: dict[tuple[int, int], float]
-    resource_reports: dict[tuple[int, int], CoreResourceReport]
+    ``exploration`` is the engine's full record; ``mha_gflops`` and
+    ``mpu_luts`` re-key its two objective values by (d, l) tile point, and
+    the paper's selection rule reads them off.
+    """
+
+    exploration: "repro.dse.ExplorationResult"  # noqa: F821 - doc only
+
+    @property
+    def mha_gflops(self) -> dict[tuple[int, int], float]:
+        return {
+            entry.candidate["tile"]: entry.vector.value("mha_gflops")
+            for entry in self.exploration.evaluated
+        }
+
+    @property
+    def mpu_luts(self) -> dict[tuple[int, int], float]:
+        return {
+            entry.candidate["tile"]: entry.vector.value("mpu_lut")
+            for entry in self.exploration.evaluated
+        }
+
+    def front_points(self) -> list[tuple[int, int]]:
+        """The Pareto-optimal (d, l) tile shapes."""
+        return [member.candidate["tile"] for member in self.exploration.front]
 
     def best_performing_points(self, tolerance: float = 0.05) -> list[tuple[int, int]]:
         """Design points within ``tolerance`` of the best MHA throughput."""
-        best = max(self.mha_gflops.values())
+        gflops = self.mha_gflops
+        best = max(gflops.values())
         return [
             point
-            for point, gflops in self.mha_gflops.items()
-            if gflops >= best * (1.0 - tolerance)
+            for point, value in gflops.items()
+            if value >= best * (1.0 - tolerance)
         ]
 
     def cheapest_best_point(self) -> tuple[int, int]:
-        """Among the best performers, the point with the fewest LUTs (the paper's d=64)."""
-        candidates = self.best_performing_points()
-        return min(candidates, key=lambda point: self.resource_reports[point].components["mpu"].lut)
+        """Among the best performers, the point with the fewest MPU LUTs
+        (the paper's d=64, l=16)."""
+        return min(self.best_performing_points(), key=self.mpu_luts.__getitem__)
 
 
-def run_figure8(config: GPT2Config = GPT2_1_5B, kv_length: int = 64) -> Figure8Result:
-    """Fig. 8: tile-shape DSE — MHA performance (a) and resource cost (b)."""
-    return Figure8Result(
-        mha_gflops=design_space_mha_sweep(config, kv_length),
-        resource_reports=design_space_resource_sweep(),
-    )
+def run_figure8(config: str = "1.5b", kv_length: int = 64) -> Figure8Result:
+    """Fig. 8: tile-shape DSE — MHA performance (a) against MPU LUT cost (b).
+
+    A two-objective factorial exploration over the five (d, l) splits of
+    1024 MACs, so the paper's chosen (64, 16) point can be read both off
+    the Pareto front and through the paper's own selection rule.
+    """
+    from repro.dse import TilingEvaluator, factorial_search, figure8_search_space
+
+    space = figure8_search_space()
+    evaluator = TilingEvaluator(config=config, kv_length=kv_length)
+    return Figure8Result(exploration=factorial_search(space, evaluator))
 
 
 # --------------------------------------------------------------------- Fig. 13
@@ -345,7 +372,7 @@ def run_table2(
 
 # ------------------------------------------------- Serving (datacenter study)
 def _serving_backend(
-    spec: str | Backend | PlatformModel,
+    spec: str | Backend,
     config: GPT2Config,
     num_devices: int | None,
 ) -> Backend:
@@ -354,15 +381,15 @@ def _serving_backend(
     Registry names are built with the driver's model configuration and
     device count (``num_devices=None`` keeps the factory's own device
     default, so single-device backends like ``"tpu"`` resolve cleanly);
-    backend instances and legacy platform models pass through (they
-    already embed their configuration).
+    backend instances pass through (they already embed their
+    configuration).
     """
+    kwargs = {}
     if isinstance(spec, str):
-        kwargs = {"config": config}
+        kwargs["config"] = config
         if num_devices is not None:
             kwargs["devices"] = num_devices
-        return make_backend(spec, **kwargs)
-    return resolve_backend(spec)
+    return make_backend(spec, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -402,7 +429,7 @@ class SchedulerComparisonResult:
 
 
 def run_scheduler_comparison(
-    platform: PlatformModel | Backend | str | None = None,
+    platform: Backend | str | None = None,
     *,
     policies: tuple[str, ...] = ("fifo", "sjf", "priority", "deadline"),
     arrival_rate_per_s: float = 0.8,
@@ -419,9 +446,9 @@ def run_scheduler_comparison(
     """Serve one trace under each policy on one appliance (default: DFX 4U host).
 
     ``platform`` may be a registered backend name (``"dfx"``, ``"gpu"``,
-    ``"tpu"``), a :class:`~repro.backends.base.Backend`, or a legacy
-    platform model; names are built with ``config`` and ``num_devices``
-    (``None`` keeps the backend factory's own device default).  Pass
+    ``"tpu"``) or a :class:`~repro.backends.base.Backend`; names are built
+    with ``config`` and ``num_devices`` (``None`` keeps the backend
+    factory's own device default).  Pass
     ``trace`` directly to study classed traffic (priorities / SLOs /
     patience); otherwise a Poisson trace over ``mix`` is generated.
     ``retain_records=False`` streams every policy's report (flat memory on
@@ -642,7 +669,7 @@ class FaultCampaignResult:
 
 
 def run_fault_campaign(
-    platform: PlatformModel | Backend | str | None = None,
+    platform: Backend | str | None = None,
     *,
     policies: tuple[str, ...] = ("fifo", "sjf", "priority", "deadline"),
     seeds: tuple[int, ...] = (0, 1, 2),
@@ -782,7 +809,7 @@ def run_fleet_topology_plan(
     *,
     racks: int = 2,
     appliances_per_rack: int = 2,
-    backend: str | Backend | PlatformModel = "dfx",
+    backend: str | Backend = "dfx",
     config: GPT2Config = GPT2_1_5B,
     num_devices: int | None = None,
     arrival_rate_per_s: float = 0.8,
@@ -914,8 +941,8 @@ def run_batching_comparison(
     batch_timeout_s: float = 2.0,
     percentile: float = 99.0,
     seed: int = 13,
-    dfx_backend: str | Backend | PlatformModel = "dfx",
-    gpu_backend: str | Backend | PlatformModel = "gpu",
+    dfx_backend: str | Backend = "dfx",
+    gpu_backend: str | Backend = "gpu",
 ) -> BatchingComparisonResult:
     """Serve low-load Poisson and high-load bursty traces across batch regimes.
 
@@ -1022,7 +1049,7 @@ class BatchCapacitySweepResult:
 
 
 def run_batch_capacity_sweep(
-    backend: str | Backend | PlatformModel = "gpu",
+    backend: str | Backend = "gpu",
     *,
     config: GPT2Config = GPT2_1_5B,
     num_devices: int = 4,
@@ -1044,8 +1071,8 @@ def run_batch_capacity_sweep(
     dynamic batching (size 1 is the unbatched baseline) on the same
     deterministic Poisson trace family, producing the batch-aware capacity
     plan the ROADMAP's serving studies call for.  ``backend`` is a
-    registry name, a backend instance, or a legacy platform model; it must
-    support batching for sizes above 1.
+    registry name or a backend instance; it must support batching for
+    sizes above 1.
     """
     if not batch_sizes:
         raise ConfigurationError("batch_sizes must be non-empty")
@@ -1102,52 +1129,6 @@ def run_accuracy_comparison(
 
 
 # ------------------------------------------------------------------------ DSE
-@dataclass(frozen=True)
-class Figure8DSEResult:
-    """Fig. 8 re-expressed as a factorial slice of the DSE engine.
-
-    ``exploration`` is the engine's full record; ``mha_gflops`` and
-    ``mpu_luts`` re-key the objective values by (d, l) tile point, matching
-    the legacy :class:`Figure8Result` vocabulary bit for bit.
-    """
-
-    exploration: "repro.dse.ExplorationResult"  # noqa: F821 - doc only
-
-    @property
-    def mha_gflops(self) -> dict[tuple[int, int], float]:
-        return {
-            entry.candidate["tile"]: entry.vector.value("mha_gflops")
-            for entry in self.exploration.evaluated
-        }
-
-    @property
-    def mpu_luts(self) -> dict[tuple[int, int], float]:
-        return {
-            entry.candidate["tile"]: entry.vector.value("mpu_lut")
-            for entry in self.exploration.evaluated
-        }
-
-    def front_points(self) -> list[tuple[int, int]]:
-        """The Pareto-optimal (d, l) tile shapes."""
-        return [member.candidate["tile"] for member in self.exploration.front]
-
-
-def run_figure8_dse(config: str = "1.5b", kv_length: int = 64) -> Figure8DSEResult:
-    """Fig. 8 through the general DSE engine (factorial over tile shapes).
-
-    Produces the exact numbers of :func:`run_figure8` — same
-    ``multi_head_attention_gflops`` and ``estimate_core_resources`` calls —
-    but as a two-objective Pareto exploration, so the paper's chosen
-    (64, 16) point can be read off the front instead of a hand-rolled
-    tolerance scan.
-    """
-    from repro.dse import TilingEvaluator, factorial_search, figure8_search_space
-
-    space = figure8_search_space()
-    evaluator = TilingEvaluator(config=config, kv_length=kv_length)
-    return Figure8DSEResult(exploration=factorial_search(space, evaluator))
-
-
 def run_design_space_exploration(
     *,
     mode: str = "evolutionary",

@@ -1,13 +1,15 @@
 """Unified backend layer: one appliance API for every execution platform.
 
 * ``base``     — the :class:`Backend` protocol, :class:`BackendCapabilities`,
-  :class:`BatchEstimate`, the generic :class:`AnalyticBackend` wrapper, and
-  :func:`as_backend` (the legacy ``PlatformModel`` shim).
+  :class:`BatchEstimate`, and the generic :class:`AnalyticBackend` wrapper
+  around a ``run(workload)`` platform model.
 * ``adapters`` — concrete adapters: DFX analytic cluster, DFX functional-sim
   runtime, GPU appliance, TPU baseline.
 * ``registry`` — ``make_backend("dfx", devices=4)`` string-keyed factories,
   mirroring ``SCHEDULERS``/``BATCH_POLICIES``; ``register_backend`` to add
-  one.
+  one.  ``make_backend`` is the only resolver: every consumer accepts a
+  registry name or a backend instance and raises ``ConfigurationError`` on
+  anything else.
 """
 
 from repro.backends.base import (
@@ -16,7 +18,6 @@ from repro.backends.base import (
     BackendCapabilities,
     BatchEstimate,
     UNBOUNDED_BATCH_SIZE,
-    as_backend,
     dominant_workload,
     is_backend,
 )
@@ -31,7 +32,6 @@ from repro.backends.registry import (
     available_backends,
     make_backend,
     register_backend,
-    resolve_backend,
 )
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "BackendCapabilities",
     "BatchEstimate",
     "UNBOUNDED_BATCH_SIZE",
-    "as_backend",
     "dominant_workload",
     "is_backend",
     "DFXClusterBackend",
@@ -51,5 +50,4 @@ __all__ = [
     "available_backends",
     "make_backend",
     "register_backend",
-    "resolve_backend",
 ]

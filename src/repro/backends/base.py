@@ -11,16 +11,18 @@ the TPU baseline — answers the same three questions:
   (batching, device count, energy reporting, functional token generation)?
 
 The serving subsystem (oracle, server, fleet, batch cost models), the
-analysis drivers, the CLI, and the benchmarks all consume this protocol, so
-a new platform integrates once — implement the three methods, register a
-factory in :mod:`repro.backends.registry`, and every consumer picks it up.
+analysis drivers, the CLI, and the benchmarks all consume this protocol —
+through :func:`~repro.backends.registry.make_backend`, which takes a
+registry name or a backend instance and rejects anything else — so a new
+platform integrates once: implement the three methods, register a factory
+in :mod:`repro.backends.registry`, and every consumer picks it up.
 
-:class:`AnalyticBackend` is the adapter half: it wraps any legacy platform
-model exposing ``run(workload) -> InferenceResult`` (the pre-protocol
-interface every appliance and baseline already speaks) and derives batch
-pricing from the platform's GPU-style batching hooks when present.  The
-module-level :func:`as_backend` picks the right wrapper automatically, so
-old call sites keep working unmodified.
+:class:`AnalyticBackend` is the adapter half: it wraps a platform model
+exposing ``run(workload) -> InferenceResult`` (the interface every
+appliance and baseline speaks) and derives batch pricing from the
+platform's GPU-style batching hooks when present.  The registered dfx, gpu
+and tpu adapters subclass it; a bare ``run()`` object is not a backend
+until it is wrapped.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.workloads import Workload
 #: Advertised ``max_batch_size`` of a batch-capable backend whose cost model
 #: declares no architectural cap (the GPU baseline's batching arithmetic is
 #: defined for any size).  A named sentinel rather than an invented limit, so
-#: legacy call sites batching beyond any guessed cap keep working.
+#: call sites batching beyond any guessed cap keep working.
 UNBOUNDED_BATCH_SIZE = sys.maxsize
 
 
@@ -163,10 +165,9 @@ def is_backend(candidate: object) -> bool:
 class AnalyticBackend:
     """Adapter: any platform model with ``run(workload)`` as a :class:`Backend`.
 
-    Covers the legacy ``PlatformModel`` protocol the serving subsystem grew
-    up on.  When the wrapped platform also exposes the GPU-style batching
-    hook (``batched_request_latency_ms``), batch pricing is derived from it
-    and the capabilities advertise batching — with no declared cap
+    When the wrapped platform also exposes the GPU-style batching hook
+    (``batched_request_latency_ms``), batch pricing is derived from it and
+    the capabilities advertise batching — with no declared cap
     (:data:`UNBOUNDED_BATCH_SIZE`), because the hook itself has none;
     otherwise only the batch-of-1 singleton passthrough works, matching
     :meth:`estimate` exactly.
@@ -269,17 +270,3 @@ class AnalyticBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"
-
-
-def as_backend(candidate, name: str | None = None) -> Backend:
-    """Coerce a platform model (or pass a backend through) to a :class:`Backend`.
-
-    A backend instance is returned unchanged (``name`` must then be omitted
-    or match); anything with ``run(workload)`` is wrapped in
-    :class:`AnalyticBackend`, batch-capable when it carries the GPU-style
-    batching hooks.  This is the deprecation shim that keeps every old
-    ``PlatformModel`` call site working.
-    """
-    if is_backend(candidate):
-        return candidate
-    return AnalyticBackend(candidate, name=name)

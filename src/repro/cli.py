@@ -478,7 +478,10 @@ def _command_experiment(args: argparse.Namespace) -> int:
     result = runner()
     print(f"experiment {args.name}: {type(result).__name__}")
     # Every driver result either has a usable repr or well-known summary fields.
-    if args.name == "figure14":
+    if args.name == "figure8":
+        print(f"  Pareto front (d, l): {result.front_points()}")
+        print(f"  chosen point (d, l): {result.cheapest_best_point()}")
+    elif args.name == "figure14":
         for model, speedup in result.speedups().items():
             print(f"  {model}: average speedup {speedup:.2f}x")
     elif args.name == "figure15":

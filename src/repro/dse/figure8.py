@@ -3,15 +3,14 @@
 The paper's tile-shape design-space exploration (Sec. V-B, Fig. 8) sweeps
 the MPU tile (d, l) over the five power-of-two splits of 1024 MACs and
 trades achieved multi-head-attention GFLOP/s against MPU LUT cost.  The
-legacy driver (``repro.analysis.experiments.run_figure8``) computes both
-directly; here the same sweep rides the DSE engine as a one-dimension
-factorial space with a two-objective evaluator.
+sweep rides the DSE engine as a one-dimension factorial space with a
+two-objective evaluator.  ``repro.analysis.experiments.run_figure8`` is the
+driver; its result applies the paper's selection rule, which picks (64, 16).
 
-The numbers are *bit-identical* to the legacy driver by construction:
-:class:`TilingEvaluator` calls the exact same
+:class:`TilingEvaluator` scores each point with
 :func:`~repro.core.tiling.multi_head_attention_gflops` and
-:func:`~repro.fpga.resources.estimate_core_resources` the legacy sweep
-calls — a regression test pins this.
+:func:`~repro.fpga.resources.estimate_core_resources`; a regression test
+pins the resulting (GFLOP/s, LUT) values of every point exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ def figure8_search_space(
 
 @dataclass(frozen=True)
 class TilingEvaluator:
-    """Scores a tile shape exactly as the legacy Fig. 8 sweep does."""
+    """Scores a tile shape on MHA GFLOP/s and MPU LUTs (the Fig. 8 axes)."""
 
     config: str = "1.5b"
     kv_length: int = 64

@@ -14,8 +14,6 @@ from repro.fpga.resources import (
     CORE_COMPONENTS,
     CoreResourceReport,
     ResourceUsage,
-    TILE_DESIGN_POINTS,
-    design_space_resource_sweep,
     estimate_core_resources,
     estimate_mpu,
     mpu_dsp_count,
@@ -37,8 +35,6 @@ __all__ = [
     "CORE_COMPONENTS",
     "CoreResourceReport",
     "ResourceUsage",
-    "TILE_DESIGN_POINTS",
-    "design_space_resource_sweep",
     "estimate_core_resources",
     "estimate_mpu",
     "mpu_dsp_count",

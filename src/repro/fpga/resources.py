@@ -199,19 +199,3 @@ def estimate_core_resources(
         "control": estimate_control_misc(),
     }
     return CoreResourceReport(spec=spec, components=components)
-
-
-#: Candidate (d, l) design points explored in Fig. 8 (constant MAC count 1024).
-TILE_DESIGN_POINTS: tuple[tuple[int, int], ...] = (
-    (8, 128), (16, 64), (32, 32), (64, 16), (128, 8),
-)
-
-
-def design_space_resource_sweep(
-    spec: U280Spec = DEFAULT_U280,
-) -> dict[tuple[int, int], CoreResourceReport]:
-    """Resource reports for every Fig. 8 design point (MPU-focused DSE)."""
-    return {
-        (d, l): estimate_core_resources(d=d, l=l, spec=spec)
-        for d, l in TILE_DESIGN_POINTS
-    }

@@ -3,9 +3,9 @@
 Every entry point that takes a platform — the oracle, the server, the
 fleet, the sweeps — speaks the unified :class:`~repro.backends.base.Backend`
 protocol: pass a registered backend name (``"dfx"``, ``"gpu"``, ``"tpu"``,
-``"dfx-sim"``), a :class:`~repro.backends.base.Backend` instance, or a
-legacy platform model with ``run(workload)`` (wrapped on the fly), and the
-same simulator serves it.
+``"dfx-sim"``) or a :class:`~repro.backends.base.Backend` instance, and the
+same simulator serves it.  Anything else raises ``ConfigurationError``
+(:func:`~repro.backends.registry.make_backend` is the one resolver).
 
 Layout (see the module docstrings for details):
 
@@ -80,7 +80,6 @@ from repro.serving.server import (
     CompletedRequest,
     FailedRequest,
     LatencyOracle,
-    PlatformModel,
     ServingReport,
     capacity_search,
     find_max_rate_under_slo,
@@ -142,7 +141,6 @@ __all__ = [
     "Outage",
     "RetryPolicy",
     "LatencyOracle",
-    "PlatformModel",
     "ServingReport",
     "capacity_search",
     "find_max_rate_under_slo",

@@ -33,12 +33,8 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence
 
-from repro.backends.base import (
-    Backend,
-    BatchEstimate,
-    as_backend,
-    dominant_workload,
-)
+from repro.backends.base import Backend, BatchEstimate, dominant_workload
+from repro.backends.registry import make_backend
 from repro.errors import ConfigurationError
 from repro.workloads import Workload
 
@@ -94,7 +90,7 @@ class BackendBatchCostModel:
     def __init__(
         self, backend: Backend, max_batch_size: int | None = None
     ) -> None:
-        self.backend = as_backend(backend)
+        self.backend = make_backend(backend)
         capabilities = self.backend.capabilities()
         if not capabilities.supports_batching:
             raise ConfigurationError(
@@ -158,9 +154,8 @@ class BackendBatchCostModel:
         self, workload: Workload, concurrency: int, latency_s: float
     ) -> float:
         # Power is shared by the requests decoding concurrently: each stream
-        # is billed 1/concurrency of the draw over ``latency_s`` — the full
-        # stream latency under admission-time pricing, or one occupancy
-        # segment under re-pricing (`ContinuousBatching(reprice=True)`).
+        # is billed 1/concurrency of the draw over ``latency_s``, one
+        # occupancy segment of a re-priced decode stream.
         return self._power(workload) * latency_s / concurrency
 
 
@@ -256,26 +251,22 @@ class ContinuousBatching(BatchFormationPolicy):
     (no gather wait) and prices it at the batched per-token rate of the
     concurrency at admission.
 
-    By default (``reprice=True``) in-flight decode streams are *re-priced*
-    whenever the unit's occupancy changes: each stream's completed work
-    fraction is carried over and its remaining work re-runs at the new
-    concurrency's per-token rate, so a lone survivor really speeds up and
-    a newly crowded stream really slows down.  Energy is billed per
+    In-flight decode streams are *re-priced* whenever the unit's occupancy
+    changes: each stream's completed work fraction is carried over and its
+    remaining work re-runs at the new concurrency's per-token rate, so a
+    lone survivor really speeds up and a newly crowded stream really slows
+    down.  Energy is billed per
     occupancy segment (1/concurrency of the appliance draw while that
     concurrency held), so whole-appliance energy integrates correctly.
-    ``reprice=False`` restores the earlier admission-time-only
-    approximation, which brackets the truth from above while keeping one
-    immutable completion event per request.
     """
 
     name = "continuous"
     continuous = True
 
-    def __init__(self, max_batch_size: int = 8, reprice: bool = True) -> None:
+    def __init__(self, max_batch_size: int = 8) -> None:
         if max_batch_size < 1:
             raise ConfigurationError("max_batch_size must be >= 1")
         self.max_batch_size = max_batch_size
-        self.reprice = reprice
 
 
 #: Registry of built-in batch-formation policies by name.

@@ -516,13 +516,13 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
-        if self.backoff_s < 0:
+        if not self.backoff_s >= 0:
             raise ConfigurationError("backoff_s must be non-negative")
-        if self.backoff_multiplier <= 0:
+        if not self.backoff_multiplier > 0:
             raise ConfigurationError("backoff_multiplier must be positive")
         if self.retry_budget is not None and self.retry_budget < 0:
             raise ConfigurationError("retry_budget must be non-negative")
-        if self.max_backoff_s is not None and self.max_backoff_s < 0:
+        if self.max_backoff_s is not None and not self.max_backoff_s >= 0:
             raise ConfigurationError(
                 "max_backoff_s must be non-negative (None = uncapped)"
             )

@@ -2,7 +2,7 @@
 
 The paper's 4U host carries two independent 4-FPGA DFX clusters (Sec. VI); a
 datacenter rack mixes such hosts with GPU servers.  This module puts any
-combination of platform models behind a single request queue: each
+combination of backends behind a single request queue: each
 :class:`FleetMember` contributes ``num_clusters`` server units backed by its
 own latency oracle, and the discrete-event simulator load-balances
 dispatches greedily onto the idle unit that finishes the request earliest
@@ -12,10 +12,11 @@ Scheduling policy (which request goes next) is orthogonal to fleet
 composition (where it runs) — any policy from
 ``repro.serving.schedulers`` works unchanged.  Batch formation is a third
 axis: a member with ``max_batch_size > 1`` (e.g. the GPU appliance)
-contributes batch-capable units priced through the GPU batching cost
-model, while DFX members keep the unbatched batch=1 passthrough — which is
-exactly the paper's asymmetry (Sec. III-A): the FPGA appliance serves each
-request alone for latency, the GPU needs gathered batches for throughput.
+contributes batch-capable units priced through its backend's
+:class:`~repro.serving.batching.BackendBatchCostModel`, while DFX members
+keep the unbatched batch=1 passthrough — which is exactly the paper's
+asymmetry (Sec. III-A): the FPGA appliance serves each request alone for
+latency, the GPU needs gathered batches for throughput.
 
 A fourth axis is *where the members sit*: pass a
 :class:`~repro.serving.network.NetworkModel` placing every member in a
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.backends import Backend, resolve_backend
+from repro.backends import Backend, make_backend
 from repro.errors import ConfigurationError
 from repro.serving.batching import (
     BackendBatchCostModel,
@@ -36,7 +37,7 @@ from repro.serving.batching import (
     make_batch_policy,
 )
 from repro.serving.schedulers import SchedulingPolicy, make_scheduler
-from repro.serving.server import LatencyOracle, PlatformModel, ServingReport
+from repro.serving.server import LatencyOracle, ServingReport
 from repro.serving.simulator import ServerUnit, simulate
 
 
@@ -44,19 +45,20 @@ from repro.serving.simulator import ServerUnit, simulate
 class FleetMember:
     """One appliance in the fleet: a platform and its cluster count.
 
-    ``platform`` may be a :class:`~repro.backends.base.Backend`, a
+    ``platform`` may be a :class:`~repro.backends.base.Backend` or a
     registered backend name (``FleetMember("dfx", "dfx", 2)`` builds the
-    default DFX cluster adapter), or a legacy platform model.
-    ``num_clusters=None`` (the default) takes the cluster count from the
-    resolved backend's capabilities (``capabilities().num_units``), so
-    presets like ``FleetMember("host0", "dfx-4u")`` spell their shape by
-    name.  ``max_batch_size`` > 1 marks the member's clusters
-    batch-capable; the resolved backend's capabilities must then support
-    batching.
+    default DFX cluster adapter); the fleet resolves it through
+    :func:`~repro.backends.registry.make_backend`, so anything else raises
+    ``ConfigurationError`` at fleet build time.  ``num_clusters=None``
+    (the default) takes the cluster count from the resolved backend's
+    capabilities (``capabilities().num_units``), so presets like
+    ``FleetMember("host0", "dfx-4u")`` spell their shape by name.
+    ``max_batch_size`` > 1 marks the member's clusters batch-capable; the
+    resolved backend's capabilities must then support batching.
     """
 
     name: str
-    platform: PlatformModel | Backend | str
+    platform: Backend | str
     num_clusters: int | None = None
     max_batch_size: int = 1
 
@@ -111,10 +113,10 @@ class ApplianceFleet:
         # False keeps no records and sketches the percentiles (flat memory
         # on long traces), exactly like ApplianceServer.
         self.retain_records = retain_records
-        # Each member's platform spec (backend, name, or legacy model) is
+        # Each member's platform spec (backend or registry name) is
         # resolved once at fleet build time.
         self._backends = {
-            member.name: resolve_backend(member.platform) for member in self.members
+            member.name: make_backend(member.platform) for member in self.members
         }
         # num_clusters=None members take their count from the backend's
         # declared capabilities (e.g. "dfx-4u" carries two clusters).

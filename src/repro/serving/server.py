@@ -4,9 +4,9 @@ The serving subsystem is split across four modules:
 
 * ``serving/server.py`` (this module) — the :class:`LatencyOracle`, the
   outcome records (:class:`CompletedRequest`, :class:`AbandonedRequest`), the
-  aggregate :class:`ServingReport`, the back-compat :class:`ApplianceServer`
-  front end, and the capacity-planning helpers (:func:`saturation_sweep`,
-  :func:`find_max_rate_under_slo`).
+  aggregate :class:`ServingReport`, the single-appliance
+  :class:`ApplianceServer` front end, and the capacity-planning helpers
+  (:func:`saturation_sweep`, :func:`find_max_rate_under_slo`).
 * ``serving/simulator.py`` — the discrete-event core: a single event loop
   that replays a trace against any set of server units.
 * ``serving/schedulers.py`` — pluggable dispatch policies (FIFO, SJF,
@@ -21,20 +21,18 @@ dual-socket CPU (paper Fig. 5 / Sec. VI); each cluster serves one request at
 a time because text generation is run unbatched (Sec. III-A) — the batching
 layer exists to model the GPU side of that tradeoff.  Per-request service
 time comes from any :class:`~repro.backends.base.Backend` — pass a
-registered name (``"dfx"``, ``"gpu"``, ``"tpu"``, ``"dfx-sim"``), a backend
-instance, or a legacy platform model exposing ``run(workload) ->
-InferenceResult`` (wrapped on the fly) — so the same harness compares
-serving capacity across every platform the registry knows.
+registered name (``"dfx"``, ``"gpu"``, ``"tpu"``, ``"dfx-sim"``) or a backend
+instance, resolved through :func:`~repro.backends.registry.make_backend`
+(anything else raises ``ConfigurationError``) — so the same harness
+compares serving capacity across every platform the registry knows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
-
 import numpy as np
 
-from repro.backends import Backend, is_backend, resolve_backend
+from repro.backends import Backend, make_backend
 from repro.errors import ConfigurationError
 from repro.results import InferenceResult
 from repro.serving.batching import BackendBatchCostModel, make_batch_policy
@@ -61,29 +59,16 @@ FAIL_RETRIES = "retries-exhausted"
 FAIL_BUDGET = "retry-budget-exhausted"
 
 
-class PlatformModel(Protocol):
-    """Anything that can estimate one request's end-to-end result.
-
-    The pre-backend interface; everything accepting a ``PlatformModel``
-    also accepts a :class:`~repro.backends.base.Backend` instance or a
-    registered backend name (``"dfx"``, ``"gpu"``, ...), resolved through
-    :func:`~repro.backends.registry.resolve_backend`.
-    """
-
-    def run(self, workload: Workload) -> InferenceResult:  # pragma: no cover - protocol
-        ...
-
-
 class LatencyOracle:
     """Caches per-workload latency/energy so traces with repeated shapes are cheap.
 
-    Accepts any :class:`~repro.backends.base.Backend`, a registered backend
-    name, or a legacy platform model with ``run(workload)`` (wrapped on the
-    fly); estimates come from :meth:`~repro.backends.base.Backend.estimate`.
+    Accepts any :class:`~repro.backends.base.Backend` or a registered
+    backend name; estimates come from
+    :meth:`~repro.backends.base.Backend.estimate`.
     """
 
-    def __init__(self, platform: PlatformModel | Backend | str) -> None:
-        self.backend = resolve_backend(platform)
+    def __init__(self, platform: Backend | str) -> None:
+        self.backend = make_backend(platform)
         self._cache: dict[Workload, InferenceResult] = {}
 
     def result_for(self, workload: Workload) -> InferenceResult:
@@ -718,9 +703,10 @@ class ApplianceServer:
     trace under the chosen scheduling policy.  The default FIFO policy
     reproduces the original single-loop ``serve()`` semantics exactly.
 
-    ``platform`` may be a :class:`~repro.backends.base.Backend`, a
-    registered backend name (``ApplianceServer("dfx", 2)``), or a legacy
-    platform model with ``run(workload)``.  ``num_clusters=None`` (the
+    ``platform`` may be a :class:`~repro.backends.base.Backend` or a
+    registered backend name (``ApplianceServer("dfx", 2)``); reports label
+    its units with the backend's ``name`` unless ``platform_name`` is
+    given.  ``num_clusters=None`` (the
     default) takes the cluster count from the backend's capabilities
     (``capabilities().num_units``), so presets like ``"dfx-4u"`` spell the
     fleet shape by name; pass an explicit count to override.
@@ -749,7 +735,7 @@ class ApplianceServer:
     order, never materializing the trace.
     """
 
-    def __init__(self, platform: PlatformModel | Backend | str,
+    def __init__(self, platform: Backend | str,
                  num_clusters: int | None = None,
                  platform_name: str | None = None,
                  scheduler: str | object = "fifo",
@@ -759,7 +745,7 @@ class ApplianceServer:
                  retry_policy=None,
                  degraded_mode=None,
                  retain_records: bool = True) -> None:
-        self.backend = resolve_backend(platform)
+        self.backend = make_backend(platform)
         self.oracle = LatencyOracle(self.backend)
         if num_clusters is None:
             num_clusters = self.backend.capabilities().num_units
@@ -769,14 +755,9 @@ class ApplianceServer:
         self.faults = faults
         self.retry_policy = retry_policy
         self.degraded_mode = degraded_mode
-        if platform_name is None:
-            # Backends carry their registry name; legacy platform models
-            # keep the historical type-name default.
-            if isinstance(platform, str) or is_backend(platform):
-                platform_name = self.backend.name
-            else:
-                platform_name = type(platform).__name__
-        self.platform_name = platform_name
+        self.platform_name = (
+            self.backend.name if platform_name is None else platform_name
+        )
         self.scheduler = scheduler
         # Resolved once so the derived unit capacity always matches the
         # policy that will run (a "dynamic" policy with default units would
@@ -826,7 +807,7 @@ class ApplianceServer:
 
 
 def saturation_sweep(
-    platform: PlatformModel | Backend | str,
+    platform: Backend | str,
     trace_builder,
     arrival_rates: list[float],
     num_clusters: int = 1,
@@ -957,7 +938,7 @@ def capacity_search(
 
 
 def find_max_rate_under_slo(
-    platform: PlatformModel | Backend | str,
+    platform: Backend | str,
     trace_builder,
     slo_s: float,
     *,

@@ -48,15 +48,13 @@ Dispatch rules:
   arrival or completion intervenes.
 
 Continuous batching runs each admission as a decode *stream* on one of the
-unit's slots.  Under the default re-pricing mode
-(``ContinuousBatching(reprice=True)``) every occupancy change — admission
-or departure — re-prices the in-flight streams: each stream's completed
-work fraction is carried over and its remaining work re-runs at the new
-concurrency's rate.  Superseded completion events stay in the calendar
-queue and are skipped by an epoch check (lazy deletion); a stream's
-provisional completion record seals with its revised finish time when it
-really completes, and the retained completed list is sorted back into
-dispatch order at finalize.
+unit's slots, and every occupancy change — admission or departure —
+re-prices the in-flight streams: each stream's completed work fraction is
+carried over and its remaining work re-runs at the new concurrency's rate.
+Superseded completion events stay in the calendar queue and are skipped by
+an epoch check (lazy deletion); a stream's provisional completion record
+seals with its revised finish time when it really completes, and the
+retained completed list is sorted back into dispatch order at finalize.
 
 Fault injection (``repro.serving.faults``) adds a fourth event source: a
 compiled :class:`~repro.serving.faults.FaultSchedule` feeds a timeline of
@@ -176,11 +174,11 @@ class _DecodeStream:
 class _InflightDispatch:
     """One immutable in-flight dispatch, registered so a fault can kill it.
 
-    Gather-mode batches, singletons, and legacy (non-repriced) continuous
-    admissions all pass through here; re-priced decode streams carry their
-    own state in :class:`_DecodeStream` instead.  ``records`` are the
-    members' provisional completion records — sealed together when the
-    dispatch completes, discarded when a failure kills it.
+    Gather-mode batches and singletons pass through here; continuous
+    decode streams are re-priced, so they carry their own mutable state in
+    :class:`_DecodeStream` instead.  ``records`` are the members'
+    provisional completion records — sealed together when the dispatch
+    completes, discarded when a failure kills it.
     """
 
     records: list[CompletedRequest]
@@ -197,7 +195,8 @@ class ServerUnit:
     a gathered batch on gather-mode units (``slots == 1``), or up to
     ``max_batch_size`` concurrent decode streams under continuous batching
     (``slots`` is raised by :func:`simulate` when the policy is continuous;
-    ``reprice`` mirrors the policy's re-pricing mode).
+    every admission onto a unit with ``slots > 1`` is a re-priced decode
+    stream).
     Units with ``max_batch_size > 1`` must carry a ``batch_costs`` model;
     ``max_batch_size == 1`` units never consult it (batch=1 passthrough).
     """
@@ -211,7 +210,6 @@ class ServerUnit:
     # Runtime state, managed by the simulator.
     active: int = 0
     slots: int = 1
-    reprice: bool = False
     streams: dict[int, _DecodeStream] = field(default_factory=dict)
     # Fault state: a down unit takes no dispatches; ``slowdown`` is the
     # product of the active degradation factors (exactly 1.0 when none
@@ -502,28 +500,15 @@ class _SimulationState:
     def start(
         self, requests: list[ServiceRequest], unit: ServerUnit, now: float
     ) -> None:
-        """Dispatch one batch (singleton or gathered) onto ``unit``."""
-        if unit.slots > 1 and unit.reprice:
+        """Dispatch one batch (singleton or gathered) onto ``unit``.
+
+        Continuous units (``slots > 1``) admit the request as a re-priced
+        decode stream instead.
+        """
+        if unit.slots > 1:
             self.admit_stream(requests[0], unit, now)
             return
-        if unit.slots > 1:
-            # Legacy continuous mode (reprice=False): priced once at the
-            # concurrency reached by this admission; recorded batch size is
-            # that decode occupancy.  ``slowdown`` (exactly 1.0 fault-free)
-            # stretches the wall clock; energy is billed over the stretched
-            # clock, so a degraded unit burns proportionally more.
-            concurrency = unit.active + 1
-            workload = requests[0].workload
-            latency_s = (
-                unit.batch_costs.continuous_latency_s(workload, concurrency)
-                * unit.slowdown
-            )
-            energy_joules = unit.batch_costs.continuous_energy_joules(
-                workload, concurrency, latency_s
-            )
-            batch_size = concurrency
-            transfer_s = unit.transfer_time_s(requests[0])
-        elif len(requests) == 1:
+        if len(requests) == 1:
             # The exact legacy arithmetic: singleton dispatches reproduce the
             # unbatched simulator bit for bit regardless of the batch policy.
             result = unit.oracle.result_for(requests[0].workload)
@@ -576,12 +561,12 @@ class _SimulationState:
     ) -> None:
         """Admit one request into a re-priced decode slot.
 
-        The admission is priced at the occupancy it creates (like legacy
-        continuous mode — the recorded ``batch_size`` is that occupancy),
-        then every pre-existing stream on the unit is re-priced at the new
-        concurrency.  The completion record built here is provisional: its
-        ``finish_time_s`` is revised when the stream really completes, and
-        only the final record seals into the report.
+        The admission is priced at the occupancy it creates (the recorded
+        ``batch_size`` is that occupancy), then every pre-existing stream
+        on the unit is re-priced at the new concurrency.  The completion
+        record built here is provisional: its ``finish_time_s`` is revised
+        when the stream really completes, and only the final record seals
+        into the report.
         """
         concurrency = unit.active + 1
         workload = request.workload
@@ -750,10 +735,10 @@ class _SimulationState:
     def change_slowdown(self, unit: ServerUnit, now: float) -> None:
         """Recompute a unit's slowdown from its active degradation stack.
 
-        Re-priced decode streams bank the segment served at the old factor
-        and re-run their remainder at the new one; already-priced immutable
-        dispatches keep their finish times (a degradation only affects work
-        priced while it is active).
+        Decode streams bank the segment served at the old factor and re-run
+        their remainder at the new one; already-priced immutable dispatches
+        keep their finish times (a degradation only affects work priced
+        while it is active).
         """
         product = 1.0
         for factor in unit.slow_factors:
@@ -761,7 +746,7 @@ class _SimulationState:
         if product == unit.slowdown:
             return
         unit.slowdown = product
-        if unit.reprice and unit.streams:
+        if unit.streams:
             self.reprice_streams(unit, now)
 
     def fail_unit(self, unit: ServerUnit, now: float) -> None:
@@ -922,9 +907,6 @@ def simulate(
             )
         unit.slots = (
             policy.capacity(unit.max_batch_size) if policy.continuous else 1
-        )
-        unit.reprice = bool(
-            policy.continuous and getattr(policy, "reprice", False)
         )
         unit.streams.clear()
         unit.inflight.clear()

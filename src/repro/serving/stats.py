@@ -41,6 +41,8 @@ from repro.errors import ConfigurationError
 #: requested rank, i.e. a p99 over 1M samples lands between p98.5 and p99.5.
 DEFAULT_EPS = 0.005
 
+_INF = float("inf")
+
 
 def _check_percentile(percentile: float) -> None:
     if not 0.0 <= percentile <= 100.0:
@@ -80,7 +82,9 @@ class QuantileSketch:
         self._max = float("-inf")
 
     def add(self, value: float) -> None:
-        """Insert one observation."""
+        """Insert one finite observation (NaN and ±inf are refused)."""
+        if not -_INF < value < _INF:
+            raise ConfigurationError(f"values must be finite, got {value}")
         self._buffer.append(value)
         self.count += 1
         self.total += value
@@ -213,7 +217,9 @@ class ExactSample:
         self._sorted: np.ndarray | None = None
 
     def add(self, value: float) -> None:
-        """Insert one observation."""
+        """Insert one finite observation (NaN and ±inf are refused)."""
+        if not -_INF < value < _INF:
+            raise ConfigurationError(f"values must be finite, got {value}")
         self._entries.append(value)
         self.count += 1
         self.total += value

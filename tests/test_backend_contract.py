@@ -14,8 +14,9 @@ Every backend in the registry must honour the same contract:
 
 The equivalence classes at the bottom prove the serving stack (oracle,
 server, fleet, batch cost model) is bit-identical through the adapters —
-the old platform-model path and the new backend path produce the same
-reports, record for record.
+a platform model wrapped by hand in :class:`AnalyticBackend` and the same
+model behind a registry adapter produce the same reports, record for
+record.
 """
 
 import pytest
@@ -23,7 +24,6 @@ import pytest
 from repro.backends import (
     AnalyticBackend,
     BackendCapabilities,
-    as_backend,
     available_backends,
     is_backend,
     make_backend,
@@ -84,7 +84,7 @@ class TestRegistry:
         from repro.backends.registry import BACKENDS
 
         def factory(**kwargs):
-            return as_backend(_FixedLatencyPlatform(1.0), name="fixed")
+            return AnalyticBackend(_FixedLatencyPlatform(1.0), name="fixed")
 
         register_backend("fixed-test", factory)
         try:
@@ -109,12 +109,13 @@ class TestCapabilitiesValidation:
         with pytest.raises(ConfigurationError):
             BackendCapabilities(platform="x", max_batch_size=0)
 
-    def test_as_backend_rejects_non_platform(self):
+    def test_analytic_backend_rejects_non_platform(self):
         with pytest.raises(ConfigurationError):
-            as_backend(object())
+            AnalyticBackend(object())
 
-    def test_as_backend_passthrough(self, backends):
-        assert as_backend(backends["gpu"]) is backends["gpu"]
+    def test_make_backend_passthrough(self):
+        wrapped = AnalyticBackend(_FixedLatencyPlatform(1.0))
+        assert make_backend(wrapped) is wrapped
 
     def test_wrapper_without_batching_hook_cannot_claim_batching(self):
         with pytest.raises(ConfigurationError):
@@ -304,6 +305,30 @@ class TestDFXSimBatchingHonesty:
         assert max(report.batch_size_distribution()) > 1
 
 
+class _RunOnlyPlatform:
+    """A bare platform model: ``run()`` and nothing of the Backend protocol."""
+
+    def run(self, workload):
+        return _FixedLatencyPlatform(1.0).run(workload)
+
+
+class TestBareRunObjectsRejected:
+    """Serving entry points resolve through ``make_backend`` only: a bare
+    ``run()`` object is refused, not wrapped on the fly."""
+
+    def test_appliance_server(self):
+        with pytest.raises(ConfigurationError):
+            ApplianceServer(_RunOnlyPlatform())
+
+    def test_fleet_member(self):
+        with pytest.raises(ConfigurationError):
+            ApplianceFleet([FleetMember("bare", _RunOnlyPlatform())])
+
+    def test_latency_oracle(self):
+        with pytest.raises(ConfigurationError):
+            LatencyOracle(_RunOnlyPlatform())
+
+
 class TestServingEquivalence:
     """Oracle/server/fleet behavior is bit-identical through the adapters."""
 
@@ -313,7 +338,7 @@ class TestServingEquivalence:
     def test_oracle_identical_through_wrapper(self):
         platform = _BatchableTokenPlatform(fixed_ms_per_token=700.0)
         direct = LatencyOracle(platform)
-        wrapped = LatencyOracle(as_backend(platform))
+        wrapped = LatencyOracle(AnalyticBackend(platform))
         for workload in (Workload(1, 1), Workload(4, 9), Workload(64, 32)):
             assert direct.service_time_s(workload) == wrapped.service_time_s(workload)
             assert (direct.result_for(workload).energy_joules
@@ -323,7 +348,7 @@ class TestServingEquivalence:
     def test_server_identical_through_backend(self, backend_name):
         backend = make_backend(backend_name, config=GPT2_TEST_TINY)
         legacy = ApplianceServer(
-            backend.platform, 2, platform_name=backend_name
+            AnalyticBackend(backend.platform), 2, platform_name=backend_name
         ).serve(self._trace())
         through_backend = ApplianceServer(backend, 2).serve(self._trace())
         assert through_backend.completed == legacy.completed
@@ -340,7 +365,7 @@ class TestServingEquivalence:
             platform, 1, "batchable", batch_policy=policy, max_batch_size=4
         ).serve(self._trace())
         through_backend = ApplianceServer(
-            as_backend(platform, name="batchable"), 1, "batchable",
+            AnalyticBackend(platform, name="batchable"), 1, "batchable",
             batch_policy=policy, max_batch_size=4,
         ).serve(self._trace())
         assert through_backend.completed == legacy.completed
@@ -356,8 +381,8 @@ class TestServingEquivalence:
         ).serve(self._trace())
         through_backends = ApplianceFleet(
             [
-                FleetMember("fast", as_backend(fast), 1),
-                FleetMember("batchy", as_backend(batchy), 1, 3),
+                FleetMember("fast", AnalyticBackend(fast), 1),
+                FleetMember("batchy", AnalyticBackend(batchy), 1, 3),
             ],
             batch_policy=policy,
         ).serve(self._trace())
@@ -433,8 +458,8 @@ class TestBatchingComparisonEquivalence:
         )
         via_platforms = experiments.run_batching_comparison(
             GPT2_TEST_TINY,
-            dfx_backend=DFXAppliance(GPT2_TEST_TINY, num_devices=1),
-            gpu_backend=GPUAppliance(GPT2_TEST_TINY, num_devices=1),
+            dfx_backend=AnalyticBackend(DFXAppliance(GPT2_TEST_TINY, num_devices=1)),
+            gpu_backend=AnalyticBackend(GPUAppliance(GPT2_TEST_TINY, num_devices=1)),
             **kwargs,
         )
         assert (via_registry.low_load_tail_latency_s()

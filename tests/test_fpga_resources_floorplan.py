@@ -7,8 +7,6 @@ from repro.fpga.floorplan import plan_floorplan
 from repro.fpga.resources import (
     CORE_COMPONENTS,
     ResourceUsage,
-    TILE_DESIGN_POINTS,
-    design_space_resource_sweep,
     estimate_core_resources,
     estimate_mpu,
     mpu_dsp_count,
@@ -67,10 +65,6 @@ class TestCoreReport:
         report = estimate_core_resources(d=64, l=256)
         with pytest.raises(ResourceExhaustedError):
             report.check_fits()
-
-    def test_design_space_sweep_covers_all_points(self):
-        sweep = design_space_resource_sweep()
-        assert set(sweep) == set(TILE_DESIGN_POINTS)
 
     def test_resource_usage_addition(self):
         total = ResourceUsage(lut=1, dsp=2) + ResourceUsage(lut=3, dsp=4, bram_36k=1)

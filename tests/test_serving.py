@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.baselines.gpu import GPUAppliance
-from repro.core.appliance import DFXAppliance
+from repro.backends import make_backend
 from repro.errors import ConfigurationError
 from repro.model.config import GPT2_345M
 from repro.serving.requests import (
@@ -374,8 +373,7 @@ class TestBurstyTrace:
 
 class TestWithRealPlatformModels:
     def test_latency_oracle_caches_results(self):
-        appliance = DFXAppliance(GPT2_345M, num_devices=1)
-        oracle = LatencyOracle(appliance)
+        oracle = LatencyOracle(make_backend("dfx", config=GPT2_345M, devices=1))
         first = oracle.result_for(Workload(32, 8))
         second = oracle.result_for(Workload(32, 8))
         assert first is second
@@ -384,10 +382,10 @@ class TestWithRealPlatformModels:
         trace = poisson_trace(arrival_rate_per_s=0.5, duration_s=60.0,
                               mix=CHATBOT_MIX, seed=3)
         dfx_report = ApplianceServer(
-            DFXAppliance(GPT2_345M, num_devices=1), platform_name="dfx"
+            make_backend("dfx", config=GPT2_345M, devices=1), platform_name="dfx"
         ).serve(trace)
         gpu_report = ApplianceServer(
-            GPUAppliance(GPT2_345M, num_devices=1), platform_name="gpu"
+            make_backend("gpu", config=GPT2_345M, devices=1), platform_name="gpu"
         ).serve(trace)
         assert dfx_report.mean_response_time_s < gpu_report.mean_response_time_s
         assert dfx_report.output_tokens_per_second > gpu_report.output_tokens_per_second

@@ -26,7 +26,6 @@ from repro.serving.schedulers import (
     SchedulingPolicy,
     make_scheduler,
 )
-from repro.backends import as_backend
 from repro.workloads import Workload
 from serving_doubles import (
     BatchableTokenPlatform as _BatchableTokenPlatform,
@@ -75,12 +74,12 @@ class TestBatchCostModel:
 
     def test_requires_the_gpu_batching_interface(self):
         with pytest.raises(ConfigurationError):
-            BackendBatchCostModel(as_backend(_FixedLatencyPlatform(1.0)))
+            BackendBatchCostModel(_FixedLatencyPlatform(1.0))
 
     def test_batch_priced_at_dominant_shape(self):
         platform = _BatchableTokenPlatform(fixed_ms_per_token=100.0,
                                            marginal_ms_per_token=10.0)
-        costs = BackendBatchCostModel(as_backend(platform))
+        costs = BackendBatchCostModel(platform)
         workloads = [Workload(1, 10), Workload(1, 4)]
         expected_ms = platform.batched_request_latency_ms(Workload(1, 10), 2)
         assert costs.batch_latency_s(workloads) == pytest.approx(expected_ms / 1e3)
@@ -89,7 +88,7 @@ class TestBatchCostModel:
         # The appliance draws its full power for the batch's own wall
         # clock (the estimate the simulator pairs this call with).
         platform = _BatchableTokenPlatform(power_watts=50.0)
-        costs = BackendBatchCostModel(as_backend(platform))
+        costs = BackendBatchCostModel(platform)
         workloads = [Workload(1, 10), Workload(1, 4)]
         latency_s = costs.batch_latency_s(workloads)
         assert costs.batch_energy_joules(workloads, latency_s) == pytest.approx(
@@ -98,7 +97,7 @@ class TestBatchCostModel:
 
     def test_continuous_energy_shared_by_concurrency(self):
         platform = _BatchableTokenPlatform(power_watts=50.0)
-        costs = BackendBatchCostModel(as_backend(platform))
+        costs = BackendBatchCostModel(platform)
         alone = costs.continuous_energy_joules(Workload(1, 10), 1, 2.0)
         shared = costs.continuous_energy_joules(Workload(1, 10), 4, 2.0)
         assert shared == pytest.approx(alone / 4)
@@ -214,18 +213,6 @@ class TestContinuousBatching:
         # Recorded batch sizes are the decode occupancy at admission.
         assert report.batch_size_distribution() == {1: 1, 2: 1, 3: 1, 4: 1}
 
-    def test_admission_time_pricing_without_reprice(self):
-        # Legacy approximation (reprice=False): each admission is priced
-        # once at the concurrency it finds and never revisited.
-        report = _batched_server(
-            max_batch_size=2, policy=ContinuousBatching(2, reprice=False)
-        ).serve(constant_trace(0.0, 2, Workload(1, 1)))
-        by_id = {c.request.request_id: c for c in report.completed}
-        # First admission decodes alone (batch-1 rate); the second shares
-        # the unit and pays the concurrency-2 step time.
-        assert by_id[0].service_time_s == pytest.approx(1.0)
-        assert by_id[1].service_time_s == pytest.approx(1.1)
-
     def test_slots_never_exceed_max_batch_size(self):
         report = _batched_server(
             max_batch_size=2, policy=ContinuousBatching(2)
@@ -237,9 +224,9 @@ class TestContinuousBatching:
 
 
 class TestContinuousRepricing:
-    """Default continuous mode re-prices in-flight decode streams whenever
-    the unit's occupancy changes (the fix for the admission-time-only
-    approximation the old docstring disclaimed)."""
+    """Continuous batching re-prices in-flight decode streams whenever the
+    unit's occupancy changes (the fix for the admission-time-only
+    approximation it replaced)."""
 
     # _BatchableTokenPlatform service time for Workload(1, n) at
     # concurrency L: n * (1.0 + (L - 1) * 0.1) seconds.
@@ -306,18 +293,19 @@ class TestContinuousRepricing:
         assert report.total_energy_joules == pytest.approx(50.0 * 1.1)
 
     def test_reprice_matches_legacy_when_occupancy_never_changes(self):
-        # A lone stream is never re-priced, so both modes agree exactly.
+        # A lone stream is never re-priced, so it keeps the admission-time
+        # price: 3 tokens at the batch-1 rate (1.0 s each) = 3.0 s, billed
+        # the full 50 W draw over those 3.0 s = 150 J.
         trace = [ServiceRequest(0, 0.0, Workload(1, 3))]
-        legacy = _batched_server(
-            max_batch_size=4, policy=ContinuousBatching(4, reprice=False)
-        ).serve(trace)
         repriced = _batched_server(
             max_batch_size=4, policy=ContinuousBatching(4)
         ).serve(trace)
-        assert repriced.completed == legacy.completed
-        assert repriced.total_energy_joules == pytest.approx(
-            legacy.total_energy_joules
-        )
+        (record,) = repriced.completed
+        assert record.start_time_s == 0.0
+        assert record.finish_time_s == 3.0
+        assert record.service_time_s == 3.0
+        assert record.batch_size == 1
+        assert repriced.total_energy_joules == pytest.approx(150.0)
 
 
 class TestHoldWithoutTimer:

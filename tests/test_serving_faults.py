@@ -308,6 +308,13 @@ class TestBackoffCap:
         with pytest.raises(ConfigurationError):
             RetryPolicy(max_backoff_s=-1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["backoff_s", "backoff_multiplier", "max_backoff_s"]
+    )
+    def test_nan_backoff_rejected(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            RetryPolicy(**{field: float("nan")})
+
     def test_capped_retries_recover_sooner_end_to_end(self):
         # Four kills in a row: the uncapped 8x backoff parks the request
         # ~64 s out after the third kill, the capped policy retries within
@@ -463,7 +470,7 @@ class TestFaultEdgeCases:
             ),
             num_clusters=1,
             platform_name="batchy",
-            batch_policy=ContinuousBatching(4, reprice=True),
+            batch_policy=ContinuousBatching(4),
             max_batch_size=4,
             faults=FaultSchedule.scripted(
                 Outage(start_s=2.0, duration_s=3.0, unit_id=0)

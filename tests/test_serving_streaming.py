@@ -208,8 +208,32 @@ class TestQuantileSketch:
         with pytest.raises(ConfigurationError):
             sketch.values()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # Regression: add(nan) used to leave p50 at 2.0 with mean nan.
+        sketch = QuantileSketch()
+        for value in (1.0, 2.0, 3.0):
+            sketch.add(value)
+        with pytest.raises(ConfigurationError):
+            sketch.add(bad)
+        assert sketch.count == 3
+        assert sketch.mean == 2.0
+        assert sketch.query(50) == 2.0
+
 
 class TestExactSample:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # Regression: add(nan) used to make the exact p50 nan.
+        sample = ExactSample()
+        for value in (1.0, 2.0, 3.0):
+            sample.add(value)
+        with pytest.raises(ConfigurationError):
+            sample.add(bad)
+        assert sample.count == 3
+        assert sample.mean == 2.0
+        assert sample.query(50) == 2.0
+
     def test_query_matches_numpy_percentile(self):
         rng = np.random.default_rng(5)
         data = rng.lognormal(0.0, 1.0, size=1_001)

@@ -148,6 +148,13 @@ class TestCLI:
         assert exit_code == 0
         assert "gpt2-1.5b" in output
 
+    def test_experiment_command_figure8(self, capsys):
+        exit_code = main(["experiment", "figure8"])
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert "Pareto front (d, l): [(128, 8), (64, 16)]" in output
+        assert "chosen point (d, l): (64, 16)" in output
+
     def test_experiment_registry_names(self):
         assert {"figure14", "figure15", "table2", "accuracy"} <= set(EXPERIMENT_RUNNERS)
 
