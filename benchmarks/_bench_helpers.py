@@ -1,9 +1,8 @@
 """Shared helpers for the benchmark harness (imported by every bench module).
 
-Each benchmark module reproduces one paper table or figure: it runs the
-corresponding experiment driver under ``pytest-benchmark`` and prints the same
-rows/series the paper reports, side by side with the paper's published values
-where they are stated in the text.
+Each benchmark module times a driver or simulator under ``pytest-benchmark``
+and prints the rows it produces.  The paper's published values live in
+``repro.analysis.claims`` and are checked in tier-1, not here.
 """
 
 from __future__ import annotations

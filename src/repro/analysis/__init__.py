@@ -18,13 +18,9 @@ from repro.analysis.breakdown import (
     dfx_breakdown,
     gpu_breakdown,
 )
-from repro.analysis.energy import (
-    EnergyEfficiencyRow,
-    average_energy_efficiency_gain,
-    energy_efficiency_rows,
-)
+from repro.analysis.energy import average_energy_efficiency_gain
 from repro.analysis.cost import CostAnalysisRow, CostComparison, cost_comparison
-from repro.analysis.reports import format_fractions, format_speedup_series, format_table
+from repro.analysis.reports import format_fractions, format_table
 from repro.analysis.workload_presets import (
     EvaluationSetup,
     PAPER_EVALUATION_SETUPS,
@@ -61,14 +57,11 @@ __all__ = [
     "aggregate_breakdown",
     "dfx_breakdown",
     "gpu_breakdown",
-    "EnergyEfficiencyRow",
     "average_energy_efficiency_gain",
-    "energy_efficiency_rows",
     "CostAnalysisRow",
     "CostComparison",
     "cost_comparison",
     "format_fractions",
-    "format_speedup_series",
     "format_table",
     "EvaluationSetup",
     "PAPER_EVALUATION_SETUPS",

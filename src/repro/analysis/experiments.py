@@ -1,9 +1,9 @@
 """Experiment drivers: one function per paper table/figure.
 
 Each driver builds the relevant platform models, runs the paper's workloads,
-and returns a structured result object.  The benchmark modules under
-``benchmarks/`` and the examples call these drivers and print the same
-rows/series the paper reports; EXPERIMENTS.md records paper-vs-measured values.
+and returns a structured result object.  The registry in
+:mod:`repro.analysis.claims` lists the paper's tables and figures with their
+drivers and scores each result against the paper's published values.
 """
 
 from __future__ import annotations

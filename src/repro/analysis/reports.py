@@ -42,8 +42,3 @@ def format_fractions(fractions: dict[str, float]) -> str:
         lines.append(f"{phase:>24s}: {value * 100:5.1f}%")
     return "\n".join(lines)
 
-
-def format_speedup_series(labels: Sequence[str], speedups: Sequence[float]) -> str:
-    """Render a per-workload speedup series, e.g. for Fig. 14 captions."""
-    pairs = [f"{label}={speedup:.2f}x" for label, speedup in zip(labels, speedups)]
-    return ", ".join(pairs)

@@ -1,8 +1,8 @@
 """Tests for the per-figure experiment drivers (shape checks, not full runs).
 
-The full-grid drivers are exercised by the benchmarks; here we verify their
-structure and the paper-shape properties on reduced workload sets so the test
-suite stays fast.
+The full-input drivers run once in ``test_paper_claims.py``, scored against
+the paper; here we verify their structure and the paper-shape properties on
+reduced workload sets.
 """
 
 import pytest

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.breakdown import aggregate_breakdown, dfx_breakdown, gpu_breakdown
 from repro.analysis.cost import cost_comparison
-from repro.analysis.energy import average_energy_efficiency_gain, energy_efficiency_rows
+from repro.analysis.energy import average_energy_efficiency_gain
 from repro.analysis.metrics import (
     ComparisonRow,
     average_latency_ms,
@@ -14,7 +14,7 @@ from repro.analysis.metrics import (
     pair_results,
     stage_gflops,
 )
-from repro.analysis.reports import format_fractions, format_speedup_series, format_table
+from repro.analysis.reports import format_fractions, format_table
 from repro.errors import ConfigurationError
 from repro.results import InferenceResult, PHASE_FFN, PHASE_SELF_ATTENTION, PHASE_SYNC, StageLatency
 from repro.workloads import Workload
@@ -100,11 +100,10 @@ class TestEnergyAndCost:
     def test_normalized_energy_efficiency(self):
         rows = pair_results([_result("gpu", 1000.0, power=190.0)],
                             [_result("dfx", 250.0, power=180.0)])
-        energy_rows = energy_efficiency_rows(rows)
-        assert energy_rows[0].normalized_gpu == 1.0
-        assert energy_rows[0].normalized_dfx > 1.0
-        assert average_energy_efficiency_gain(rows) == pytest.approx(
-            energy_rows[0].normalized_dfx
+        gain = average_energy_efficiency_gain(rows)
+        assert gain > 1.0
+        assert gain == pytest.approx(
+            rows[0].dfx.tokens_per_joule / rows[0].baseline.tokens_per_joule
         )
 
     def test_cost_comparison_table2_structure(self):
@@ -128,7 +127,3 @@ class TestReports:
         text = format_fractions({"a": 0.1, "b": 0.9})
         assert text.index("b") < text.index("a")
         assert "90.0%" in text
-
-    def test_format_speedup_series(self):
-        text = format_speedup_series(["[32:1]", "[32:4]"], [1.5, 2.0])
-        assert "[32:1]=1.50x" in text

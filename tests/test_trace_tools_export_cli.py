@@ -1,9 +1,12 @@
 """Tests for trace inspection tools, JSON export, and the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro import cli
+from repro.analysis.claims import EXPERIMENTS
 from repro.analysis.export import (
     comparison_grid_to_dict,
     read_json,
@@ -12,7 +15,7 @@ from repro.analysis.export import (
 )
 from repro.analysis.metrics import pair_results
 from repro.baselines.gpu import GPUAppliance
-from repro.cli import EXPERIMENT_RUNNERS, build_parser, main
+from repro.cli import build_parser, main
 from repro.core.appliance import DFXAppliance
 from repro.core.dma import DMAModel
 from repro.core.mpu import MPUModel
@@ -156,7 +159,19 @@ class TestCLI:
         assert "chosen point (d, l): (64, 16)" in output
 
     def test_experiment_registry_names(self):
-        assert {"figure14", "figure15", "table2", "accuracy"} <= set(EXPERIMENT_RUNNERS)
+        keys = [experiment.key for experiment in EXPERIMENTS]
+        assert {"figure14", "figure15", "table2", "accuracy"} <= set(keys)
+        parser = build_parser()
+        for key in keys:
+            assert parser.parse_args(["experiment", key]).name == key
+
+    def test_experiment_command_fails_on_flagged_claim(self, monkeypatch, capsys):
+        table1 = next(entry for entry in EXPERIMENTS if entry.key == "table1")
+        layers = dataclasses.replace(table1.claims[0], published=25)
+        monkeypatch.setattr(cli, "EXPERIMENTS",
+                            (dataclasses.replace(table1, claims=(layers,)),))
+        assert main(["experiment", "table1"]) == 1
+        assert "FLAGGED" in capsys.readouterr().out
 
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):
