@@ -10,7 +10,9 @@ partial vectors in core-ID order (the router's reorder unit, Fig. 11).
 Two execution paths share one set of instruction semantics:
 
 * the **slow path** (:meth:`FunctionalCore.execute_instruction`) dispatches on
-  instruction type per instruction — simple, and the reference for audits;
+  instruction type per instruction over one stream's 2-D ``(rows, cols)``
+  registers and appends KV rows by ``np.concatenate`` — simple, and the
+  reference for audits;
 * the **fast path** (:func:`link_program` + :class:`LinkedProgram`) links a
   program once: each sync-free instruction run is compiled into a single
   generated Python function with buffer names lowered to locals and constant
@@ -22,20 +24,28 @@ Two execution paths share one set of instruction semantics:
   object, and the compiler's own program cache means a whole ``generate()``
   call links each program exactly once.
 
-**Bit-exactness contract:** the fast path must produce bit-identical buffers
-to the slow path.  Every fast-path shortcut is a proven identity: generated
-code fuses the slow path's FP16→FP32 conversion chains into ufunc
-``dtype=float32`` calls that convert elementwise identically; the causal
-mask is elided only when it admits every key (a single query row always
-attends to the whole cache, and FP16→FP32→FP16 round-trips are exact); the
-KV cache appends into a capacity-doubling preallocated buffer
-(:class:`GrowableKV`) whose logical view holds exactly the rows the slow
-path's ``np.concatenate`` would have produced; persistent weights are staged
-upcast to the FP32 accumulation dtype (exact, since they were already
-quantized); and the output-scatter path writes in place only into buffers it
-exclusively owns.  The functional-vs-reference integration tests — and the
-fast-vs-slow register comparison in ``tests/test_fastpath_engine.py`` — are
-the oracle for this contract.
+The fast path is one engine for every traffic shape.  Its registers carry a
+leading stream axis, ``(streams, rows, cols)``, and a lockstep *cohort* of
+streams sharing one past length runs one program; KV rows land in the
+:class:`BatchedKV` slot arenas of a :class:`BatchedKVPool`.  Single-stream
+generation (:meth:`DFXFunctionalSimulator.forward`) is the one-slot cohort,
+and continuous batching (:class:`BatchedGenerationSession`) runs many.
+
+**Bit-exactness contract:** every stream's slice of a fast-path cohort must be
+bit-identical to the slow path run on that stream alone.  Every fast-path
+shortcut is a proven identity: generated code fuses the slow path's
+FP16→FP32 conversion chains into ufunc ``dtype=float32`` calls that convert
+elementwise identically; stacked 3-D matmuls and elementwise ufuncs equal
+their 2-D forms slice by slice (the stream axis is never flattened into rows,
+which would change BLAS kernel selection); the causal mask is elided only when
+it admits every key (a single query row always attends to the whole cache,
+and FP16→FP32→FP16 round-trips are exact); each arena slot's logical view
+holds exactly the rows the slow path's ``np.concatenate`` would have produced;
+persistent weights are staged upcast to the FP32 accumulation dtype (exact,
+since they were already quantized); and the output-scatter path writes in
+place only into buffers it exclusively owns.  The functional-vs-reference
+integration tests — and the fast-vs-slow register comparison in
+``tests/test_fastpath_engine.py`` — are the oracle for this contract.
 
 The simulator is verified against the reference :class:`repro.model.GPT2Model`
 in the integration tests: with the same weights and numerics it must produce
@@ -51,7 +61,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.isa.compiler import DFXCompiler, kv_key_buffer, kv_value_buffer
+from repro.isa.compiler import DFXCompiler
 from repro.isa.instructions import (
     DMAInstruction,
     Instruction,
@@ -78,55 +88,8 @@ SyncHandler = Callable[[RouterInstruction, np.ndarray], np.ndarray]
 #: Type of a linked (pre-bound) instruction handler.
 Handler = Callable[["FunctionalCore"], None]
 
-#: Smallest KV-cache capacity allocated by :class:`GrowableKV`.
+#: Smallest per-slot KV-cache capacity of a :class:`BatchedKV` arena.
 _KV_MIN_CAPACITY = 8
-
-
-class GrowableKV:
-    """An HBM KV-cache buffer with amortized-O(1) row appends.
-
-    Rows live in a preallocated ``(capacity, cols)`` array with a logical
-    ``length``; appends write in place and double the capacity when it runs
-    out, so a generation run of *n* tokens costs O(n) row copies instead of
-    the O(n²) a per-token ``np.concatenate`` pays.  Readers get the logical
-    view (``data[:length]``), which is bit-identical to the concatenated
-    array of every appended row.
-    """
-
-    __slots__ = ("data", "length")
-
-    def __init__(self, cols: int, dtype: np.dtype, reserve: int = 0) -> None:
-        capacity = max(int(reserve), _KV_MIN_CAPACITY)
-        self.data = np.empty((capacity, cols), dtype=dtype)
-        self.length = 0
-
-    @property
-    def capacity(self) -> int:
-        """Allocated row capacity (>= length)."""
-        return int(self.data.shape[0])
-
-    def view(self) -> np.ndarray:
-        """The logical contents: the first ``length`` rows."""
-        return self.data[: self.length]
-
-    def reserve(self, minimum: int) -> None:
-        """Grow capacity to at least ``minimum`` rows, keeping contents."""
-        if minimum > self.data.shape[0]:
-            grown = np.empty((minimum, self.data.shape[1]), dtype=self.data.dtype)
-            grown[: self.length] = self.data[: self.length]
-            self.data = grown
-
-    def append(self, rows: np.ndarray) -> None:
-        """Append ``(n, cols)`` rows, doubling capacity when needed."""
-        count = rows.shape[0]
-        needed = self.length + count
-        if needed > self.data.shape[0]:
-            new_capacity = max(self.data.shape[0] * 2, needed)
-            grown = np.empty((new_capacity, self.data.shape[1]), dtype=self.data.dtype)
-            grown[: self.length] = self.data[: self.length]
-            self.data = grown
-        self.data[self.length : needed] = rows
-        self.length = needed
 
 
 class BatchedKV:
@@ -136,8 +99,7 @@ class BatchedKV:
     belongs to one generation stream and carries its own logical ``length``.
     A lockstep *cohort* occupies a contiguous slot range ``[lo, hi)`` whose
     slots all hold the same length, so the cohort's cache is the zero-copy
-    view ``data[lo:hi, :length]`` — the 3-D analogue of
-    :meth:`GrowableKV.view`.  Slot storage is recycled: departing streams
+    view ``data[lo:hi, :length]``.  Slot storage is recycled: departing streams
     free their slots for later admissions instead of deallocating, and the
     arena only reallocates when the slot count or row capacity must grow.
     """
@@ -193,7 +155,7 @@ class BatchedKV:
 
 
 class BatchedKVPool:
-    """All KV arenas of a batched simulator, grown and recycled together.
+    """All KV arenas of one simulator engine, grown and recycled together.
 
     Every ``(layer, device, head)`` cache buffer is one :class:`BatchedKV`
     registered here; the pool keeps them dimensioned identically so one slot
@@ -249,23 +211,42 @@ class BatchedKVPool:
         return sum(arena.data.nbytes for arena in self.arenas)
 
 
+def _kv_dtype(numerics: Numerics) -> np.dtype:
+    """Storage dtype of the KV cache: the matmul accumulation dtype.
+
+    The appended rows are already quantized register values, so keeping them
+    upcast to FP32 (for the DFX pipeline) is exact and lets the attention
+    matmuls skip their per-token conversion of the cache.
+    """
+    return np.dtype(np.float32) if numerics.accumulate_fp32 else numerics.dtype
+
+
 @dataclass
 class FunctionalCore:
     """Interprets one device's DFX instructions against NumPy buffers.
 
+    The slow path (:meth:`execute_instruction`) runs one stream on 2-D
+    ``(rows, cols)`` registers and keeps each KV buffer as a plain array.
+    Linked fast-path segments run a cohort on ``(streams, rows, cols)``
+    registers and keep KV in the :class:`BatchedKV` arenas of ``kv_pool``;
+    ``slot_lo``/``slot_hi`` name the arena slot range of the cohort currently
+    executing.
+
     Attributes:
         numerics: Precision mode (FP16 + LUT GELU for the DFX pipeline).
-        registers: The register file: buffer name -> 2-D array (rows, length).
-        memory: Off-chip memory: weights, KV cache (:class:`GrowableKV` once
-            written), embedding rows.
-        kv_reserve: Row capacity to preallocate when a KV buffer is first
-            written (a generation run reserves prompt + new tokens up front).
+        registers: The register file: buffer name -> array.
+        memory: Off-chip memory: weights, KV cache, embedding rows.
+        slot_lo: First arena slot of the executing cohort (fast path).
+        slot_hi: One past its last arena slot (fast path).
+        kv_pool: The pool that allocates this core's KV arenas (fast path).
     """
 
     numerics: Numerics = FP16_DFX
     registers: dict[str, np.ndarray] = field(default_factory=dict)
     memory: dict[str, np.ndarray] = field(default_factory=dict)
-    kv_reserve: int = 0
+    slot_lo: int = 0
+    slot_hi: int = 0
+    kv_pool: BatchedKVPool | None = None
     # Output-scatter buffers this core allocated itself and may mutate in
     # place (identity-checked against the register file before reuse).
     _scatter_buffers: dict[str, np.ndarray] = field(
@@ -285,13 +266,7 @@ class FunctionalCore:
         value = self.memory.get(name)
         if value is None:
             raise ExecutionError(f"buffer {name!r} not found in registers or memory")
-        if type(value) is GrowableKV:
-            return value.view()
         return value
-
-    @staticmethod
-    def _as_2d(array: np.ndarray) -> np.ndarray:
-        return array if array.ndim == 2 else array.reshape(1, -1)
 
     def _scatter_value(
         self,
@@ -304,21 +279,22 @@ class FunctionalCore:
         """Write ``result`` into the column window of the ``dst`` accumulator.
 
         ``current`` is the register's present value (or ``None``).  Allocates
-        the ``(rows, total_cols)`` buffer on first touch and then writes in
-        place for every further head: copying is only needed when the register
-        holds an array this core did not allocate itself (and might therefore
-        alias another buffer).  Returns the buffer to store back in ``dst``.
+        the ``(..., rows, total_cols)`` buffer on first touch and then writes
+        in place for every further head: copying is only needed when the
+        register holds an array this core did not allocate itself (and might
+        therefore alias another buffer).  Returns the buffer to store back in
+        ``dst``.
         """
-        rows = result.shape[0]
-        if current is None or current.shape != (rows, total_cols):
-            buffer = np.zeros((rows, total_cols), dtype=self.numerics.dtype)
+        shape = result.shape[:-1] + (total_cols,)
+        if current is None or current.shape != shape:
+            buffer = np.zeros(shape, dtype=self.numerics.dtype)
             self._scatter_buffers[dst] = buffer
         elif self._scatter_buffers.get(dst) is current:
             buffer = current
         else:
             buffer = current.copy()
             self._scatter_buffers[dst] = buffer
-        buffer[:, col_offset : col_offset + result.shape[1]] = result
+        buffer[..., col_offset : col_offset + result.shape[-1]] = result
         return buffer
 
     def _scatter_write(
@@ -330,33 +306,18 @@ class FunctionalCore:
         )
 
     def _append_kv(self, dst: str, source: np.ndarray) -> None:
-        """Append KV rows to ``memory[dst]``, converting it to a GrowableKV.
-
-        The buffer is kept in the matmul accumulation dtype (FP32 for the DFX
-        pipeline): the appended rows are already quantized register values, so
-        the upcast is exact and the attention matmuls skip their per-token
-        weight conversion.
-        """
-        buffer = self.memory.get(dst)
-        if type(buffer) is GrowableKV:
-            buffer.append(source)
-            return
-        dtype = (
-            np.dtype(np.float32)
-            if self.numerics.accumulate_fp32
-            else self.numerics.dtype
-        )
-        if buffer is None or buffer.size == 0:
-            grown = GrowableKV(source.shape[1], dtype, reserve=self.kv_reserve)
-        else:
-            grown = GrowableKV(buffer.shape[1], dtype, reserve=self.kv_reserve)
-            grown.append(buffer)
-        grown.append(source)
-        self.memory[dst] = grown
+        """Append each cohort stream's KV rows to its arena slot (fast path)."""
+        arena = self.memory.get(dst)
+        if type(arena) is not BatchedKV:
+            if self.kv_pool is None:
+                raise ExecutionError(f"KV append to {dst!r} without an arena pool")
+            arena = self.kv_pool.new_arena(source.shape[-1])
+            self.memory[dst] = arena
+        arena.append(self.slot_lo, self.slot_hi, source)
 
     # -------------------------------------------------------------- instructions
     def _execute_matrix(self, instruction: MatrixInstruction) -> None:
-        operand = self._as_2d(self._read_register(instruction.input_operand))
+        operand = self._read_register(instruction.input_operand)
         if instruction.input_col_count is not None:
             start = instruction.input_col_offset
             operand = operand[:, start : start + instruction.input_col_count]
@@ -448,11 +409,15 @@ class FunctionalCore:
             )
             return
         if opcode is DMAOpcode.STORE_KV:
-            source = self._as_2d(self._read_register(instruction.src))
+            source = self._read_register(instruction.src)
             if instruction.col_count is not None:
                 start = instruction.col_offset
                 source = source[:, start : start + instruction.col_count]
-            self._append_kv(instruction.dst, source)
+            source = np.asarray(source, dtype=_kv_dtype(self.numerics))
+            cached = self.memory.get(instruction.dst)
+            if cached is not None and cached.size:
+                source = np.concatenate([cached, source])
+            self.memory[instruction.dst] = source
             return
         if opcode is DMAOpcode.STORE_OUTPUT:
             self.memory[instruction.dst] = self._read_register(instruction.src).copy()
@@ -460,22 +425,6 @@ class FunctionalCore:
         raise ExecutionError(f"unsupported DMA opcode {opcode.value}")  # pragma: no cover
 
     # ------------------------------------------------------------------ execute
-    def execute(self, program: Program, sync_handler: SyncHandler | None = None) -> None:
-        """Execute ``program``; ring syncs are resolved through ``sync_handler``."""
-        linked = link_program(program, self.numerics)
-        for prefix, _, body, sync in linked.segments:
-            if prefix is not None:
-                prefix(self)
-            if body is not None:
-                body(self)
-            if sync is not None:
-                if sync_handler is None:
-                    raise ExecutionError(
-                        "router instruction encountered without a sync handler"
-                    )
-                local = self._read_register(sync.src)
-                self.registers[sync.dst] = sync_handler(sync, local)
-
     def execute_instruction(
         self, instruction: Instruction, sync_handler: SyncHandler | None = None
     ) -> None:
@@ -497,69 +446,6 @@ class FunctionalCore:
             raise ExecutionError(f"unknown instruction type {type(instruction).__name__}")
 
 
-@dataclass
-class BatchedFunctionalCore(FunctionalCore):
-    """A :class:`FunctionalCore` whose buffers carry a leading batch axis.
-
-    Registers hold ``(batch, rows, cols)`` arrays — one slice per lockstep
-    stream — and the KV cache lives in shared :class:`BatchedKV` slot arenas
-    instead of per-request :class:`GrowableKV` buffers.  ``slot_lo``/
-    ``slot_hi`` name the arena slot range of the cohort currently executing;
-    the batched fast path reads them when unwrapping KV operands.  Only the
-    two structurally 2-D helpers need overriding: every other instruction
-    semantic is shape-polymorphic (stacked 3-D matmuls and elementwise ufuncs
-    are bit-identical per slice to their 2-D forms, which is what keeps the
-    batched engine on the bit-exactness contract).
-    """
-
-    slot_lo: int = 0
-    slot_hi: int = 0
-    kv_pool: BatchedKVPool | None = None
-
-    def _scatter_value(
-        self,
-        dst: str,
-        current: np.ndarray | None,
-        result: np.ndarray,
-        total_cols: int,
-        col_offset: int,
-    ) -> np.ndarray:
-        """Batched output scatter: per-head writes share a 3-D accumulator."""
-        shape = result.shape[:-1] + (total_cols,)
-        if current is None or current.shape != shape:
-            buffer = np.zeros(shape, dtype=self.numerics.dtype)
-            self._scatter_buffers[dst] = buffer
-        elif self._scatter_buffers.get(dst) is current:
-            buffer = current
-        else:
-            buffer = current.copy()
-            self._scatter_buffers[dst] = buffer
-        buffer[..., col_offset : col_offset + result.shape[-1]] = result
-        return buffer
-
-    def _append_kv(self, dst: str, source: np.ndarray) -> None:
-        """Append each stream's KV rows to its arena slot (in place)."""
-        arena = self.memory.get(dst)
-        if type(arena) is not BatchedKV:
-            if self.kv_pool is None:
-                raise ExecutionError(
-                    f"batched KV append to {dst!r} without an arena pool"
-                )
-            arena = self.kv_pool.new_arena(source.shape[-1])
-            self.memory[dst] = arena
-        arena.append(self.slot_lo, self.slot_hi, source)
-
-
-def split_at_syncs(program: Program) -> list[tuple[list[Instruction], RouterInstruction | None]]:
-    """Split a program into segments ending at each router instruction.
-
-    Returns a list of ``(segment_instructions, sync_or_None)`` pairs; the last
-    pair's sync is ``None`` when the program does not end with a sync.  Thin
-    compatibility wrapper over the memoized :meth:`Program.segments`.
-    """
-    return [(list(segment.instructions), segment.sync) for segment in program.segments()]
-
-
 # ----------------------------------------------------------------- linking pass
 class _SegmentCompiler:
     """Compiles one sync-free instruction run into a single Python function.
@@ -567,15 +453,17 @@ class _SegmentCompiler:
     This is the linking pass: buffer *names* become function-local variables,
     constant operands (dtypes, scales, bound numerics methods) become default
     parameters, and the per-instruction dispatch disappears entirely.  The
-    generated code emits exactly the NumPy expressions of the slow path (or a
-    proven-identical fusion of them — see the module docstring), so the fast
-    path stays bit-exact.
+    generated code emits the slow path's NumPy expressions over registers
+    with a leading stream axis — ellipsis column slices, axis-polymorphic
+    transposes, KV unwrapping against the core's cohort slot range — or a
+    proven-identical fusion of them (see the module docstring), so every
+    stream's slice stays bit-exact.
 
     Register reads are materialized lazily at their first use site (with the
     slow path's "read before definition" error), and every register written
     by the segment is stored back to the core's register file in the
     epilogue, so state observed between segments — by ring syncs and by
-    callers of :meth:`FunctionalCore.execute` — is unchanged.
+    readers of the program outputs — is unchanged.
     """
 
     _BASE_NAMESPACE = {
@@ -585,7 +473,6 @@ class _SegmentCompiler:
         "_one": np.float32(1.0),
         "_MASK_VALUE": MASK_VALUE,
         "ExecutionError": ExecutionError,
-        "GrowableKV": GrowableKV,
         "BatchedKV": BatchedKV,
     }
 
@@ -595,23 +482,18 @@ class _SegmentCompiler:
         VectorOpcode.MUL: "_np.multiply",
     }
 
-    def __init__(self, numerics: Numerics, batched: bool = False) -> None:
+    def __init__(self, numerics: Numerics) -> None:
         self.numerics = numerics
-        # Batched mode generates the leading-batch-axis variant of each
-        # expression: ellipsis column slices, axis-polymorphic transposes,
-        # and KV unwrapping against the core's cohort slot range.  Every
-        # variant is a per-slice bit-exact generalization of the 2-D form.
-        self.batched = batched
         self.lines: list[str] = []
         self.consts: dict[str, object] = {}
         self.registers_vars: dict[str, str] = {}
         self.defined: set[str] = set()
         self.loaded: set[str] = set()
         self.temp_count = 0
-        # Common-subexpression cache for register-derived views/conversions,
-        # keyed ("2d"|"f32", register name); invalidated when the register is
+        # Common-subexpression cache of register conversions to the compute
+        # dtype, keyed by register name; invalidated when the register is
         # rewritten.  Conversions are pure, so reuse is bit-exact.
-        self._cse: dict[tuple[str, str], str] = {}
+        self._cse: dict[str, str] = {}
         self.out_dtype = self.const(numerics.dtype)
         compute = np.dtype(np.float32) if numerics.accumulate_fp32 else numerics.dtype
         self.compute_dtype = self.const(compute)
@@ -635,9 +517,8 @@ class _SegmentCompiler:
         return self.registers_vars[register]
 
     def _invalidate(self, register: str) -> None:
-        """Drop memoized views/conversions derived from ``register``."""
-        self._cse.pop(("2d", register), None)
-        self._cse.pop(("f32", register), None)
+        """Drop the memoized conversion derived from ``register``."""
+        self._cse.pop(register, None)
 
     def read_register(self, register: str) -> str:
         """Variable holding ``register``, loading it on first read."""
@@ -662,12 +543,8 @@ class _SegmentCompiler:
         self.emit(f"    {var} = _memory.get({name!r})")
         self.emit(f"    if {var} is None:")
         self.emit(f"        raise ExecutionError({message})")
-        if self.batched:
-            self.emit(f"    if {var}.__class__ is BatchedKV:")
-            self.emit(f"        {var} = {var}.view(_slot_lo, _slot_hi)")
-        else:
-            self.emit(f"    if {var}.__class__ is GrowableKV:")
-            self.emit(f"        {var} = {var}.view()")
+        self.emit(f"    if {var}.__class__ is BatchedKV:")
+        self.emit(f"        {var} = {var}.view(_slot_lo, _slot_hi)")
         return var
 
     def write_register(self, register: str) -> str:
@@ -676,40 +553,20 @@ class _SegmentCompiler:
         self._invalidate(register)
         return var
 
-    def as_2d(self, register: str) -> str:
-        """Variable holding ``register`` viewed as 2-D (memoized).
-
-        In batched mode registers already carry their canonical 3-D
-        ``(batch, rows, cols)`` shape, so this is the identity.
-        """
-        key = ("2d", register)
-        cached = self._cse.get(key)
-        if cached is not None:
-            return cached
-        var = self.read_register(register)
-        if self.batched:
-            self._cse[key] = var
-            return var
-        out = self.temp()
-        self.emit(f"{out} = {var} if {var}.ndim == 2 else {var}.reshape(1, -1)")
-        self._cse[key] = out
-        return out
-
     def as_compute(self, register: str) -> str:
-        """Variable holding ``register`` as 2-D in the compute dtype (memoized).
+        """Variable holding ``register`` in the compute dtype (memoized).
 
         Conversion before column-slicing is elementwise, so converting the
         full operand once and slicing the converted view is bit-identical to
         converting each slice — and lets all heads share one conversion.
         """
-        key = ("f32", register)
-        cached = self._cse.get(key)
+        cached = self._cse.get(register)
         if cached is not None:
             return cached
-        base = self.as_2d(register)
+        base = self.read_register(register)
         out = self.temp()
         self.emit(f"{out} = _asarray({base}, dtype={self.compute_dtype})")
-        self._cse[key] = out
+        self._cse[register] = out
         return out
 
     # ------------------------------------------------------------ instructions
@@ -719,8 +576,7 @@ class _SegmentCompiler:
             start = instruction.input_col_offset
             stop = start + instruction.input_col_count
             sliced = self.temp()
-            columns = "..." if self.batched else ":"
-            self.emit(f"{sliced} = {operand}[{columns}, {start}:{stop}]")
+            self.emit(f"{sliced} = {operand}[..., {start}:{stop}]")
             operand = sliced
         weight = self.read_any(instruction.weight_operand)
         transpose = (
@@ -728,11 +584,8 @@ class _SegmentCompiler:
         )
         if transpose:
             transposed = self.temp()
-            if self.batched:
-                # Works for shared 2-D weights and per-cohort 3-D KV views.
-                self.emit(f"{transposed} = {weight}.swapaxes(-1, -2)")
-            else:
-                self.emit(f"{transposed} = {weight}.T")
+            # Works for shared 2-D weights and per-cohort 3-D KV views.
+            self.emit(f"{transposed} = {weight}.swapaxes(-1, -2)")
             weight = transposed
         result = self.temp()
         # Persistent weights are staged in the compute dtype already; the
@@ -765,8 +618,7 @@ class _SegmentCompiler:
             # the unmasked one bit for bit, so the where/cast is skipped.
             offset = instruction.mask_offset
             cast = self.const(self.numerics.cast)
-            shape = f"{result}.shape[-2:]" if self.batched else f"{result}.shape"
-            self.emit(f"_rows, _cols = {shape}")
+            self.emit(f"_rows, _cols = {result}.shape[-2:]")
             self.emit(f"if {offset} < _cols - 1:")
             self.emit(f"    _query = _np.arange(_rows)[:, None] + {offset}")
             self.emit(f"    _allowed = _np.arange(_cols)[None, :] <= _query")
@@ -867,13 +719,12 @@ class _SegmentCompiler:
             self.emit(f"{var} = _asarray({source}).astype({self.out_dtype})")
             return
         if opcode is DMAOpcode.STORE_KV:
-            source = self.as_2d(instruction.src)
+            source = self.read_register(instruction.src)
             if instruction.col_count is not None:
                 start = instruction.col_offset
                 stop = start + instruction.col_count
                 sliced = self.temp()
-                columns = "..." if self.batched else ":"
-                self.emit(f"{sliced} = {source}[{columns}, {start}:{stop}]")
+                self.emit(f"{sliced} = {source}[..., {start}:{stop}]")
                 source = sliced
             self.emit(f"_append_kv({instruction.dst!r}, {source})")
             return
@@ -934,10 +785,9 @@ def _compile_segment(
     instructions: tuple[Instruction, ...],
     numerics: Numerics,
     label: str,
-    batched: bool = False,
 ) -> Handler:
     """Lower one sync-free instruction run to a single bound handler."""
-    compiler = _SegmentCompiler(numerics, batched)
+    compiler = _SegmentCompiler(numerics)
     for instruction in instructions:
         compiler.add_instruction(instruction)
     return compiler.build(label)
@@ -1020,7 +870,6 @@ def link_program(
     numerics: Numerics,
     shared_inputs: frozenset[str] = frozenset(),
     replicated_memory: frozenset[str] = frozenset(),
-    batched: bool = False,
 ) -> LinkedProgram:
     """Lower ``program`` to a :class:`LinkedProgram` (memoized).
 
@@ -1035,7 +884,7 @@ def link_program(
     instruction stream is unchanged).
     """
     count = len(program.instructions)
-    key = (numerics, shared_inputs, replicated_memory, batched)
+    key = (numerics, shared_inputs, replicated_memory)
     cached = program._link_cache.get(key)
     if cached is not None and cached[0] == count:
         return cached[1]
@@ -1092,15 +941,13 @@ def link_program(
         prefix_instructions, _, body_instructions = splits[index]
         prefix = (
             _compile_segment(
-                prefix_instructions, numerics, f"{program.name}#{index}.shared", batched
+                prefix_instructions, numerics, f"{program.name}#{index}.shared"
             )
             if prefix_instructions
             else None
         )
         body = (
-            _compile_segment(
-                body_instructions, numerics, f"{program.name}#{index}", batched
-            )
+            _compile_segment(body_instructions, numerics, f"{program.name}#{index}")
             if body_instructions
             else None
         )
@@ -1154,11 +1001,17 @@ class DFXFunctionalSimulator:
     """Lockstep functional simulation of a whole DFX cluster.
 
     Produces logits (and greedy tokens) that can be compared against the
-    reference GPT-2 model built from the same weights.  Token steps run on the
-    fast path: compiled programs come from the compiler's program cache (one
-    past-length-independent decode-step program covers the whole generation
-    stage), each program is linked to bound handlers once, and KV appends land
-    in preallocated :class:`GrowableKV` buffers.
+    reference GPT-2 model built from the same weights.  Every token step runs
+    one cohort forward on the fast path: compiled programs come from the
+    compiler's program cache (one past-length-independent decode-step program
+    covers the whole generation stage), each program is linked to bound
+    handlers once, and KV appends land in preallocated slot arenas.
+
+    The simulator keeps two engines built by one builder over the same staged
+    weights: a one-slot engine behind :meth:`forward`/:meth:`generate`, and a
+    session engine (built on first use) behind :meth:`batched_session`.  Their
+    KV arenas are separate, so a batched session never disturbs the cache of
+    an in-progress single-stream generation.
     """
 
     def __init__(
@@ -1174,7 +1027,8 @@ class DFXFunctionalSimulator:
         self.compiler = DFXCompiler(self.config, self.plan, device_id=0)
         self.weights = weights.astype(numerics.dtype)
 
-        # Per-device, per-layer persistent memories (weights + KV cache).
+        # Per-device, per-layer staged weights; each engine's cores bind them
+        # into memory dicts of their own, which also hold that engine's KV.
         self._layer_memory: list[list[dict[str, np.ndarray]]] = []
         for device_id in range(num_devices):
             device_layers = partition_model_weights(self.weights, self.plan, device_id)
@@ -1200,36 +1054,9 @@ class DFXFunctionalSimulator:
         self._layer_shared_inputs = frozenset(("hidden",))
         self._lm_shared_inputs = frozenset(("hidden_last",))
         self._past_length = 0
-        self._kv_reserve = 0
-        # Persistent per-layer / LM-head cores: the register dicts are reused
-        # across token steps (every program defines its registers before
-        # reading them, and scatter accumulators are fully overwritten), which
-        # avoids re-staging cores and dictionaries on every token.
-        self._layer_cores = [
-            [
-                FunctionalCore(
-                    numerics=numerics,
-                    registers={},
-                    memory=self._layer_memory[device_id][layer_index],
-                )
-                for device_id in range(num_devices)
-            ]
-            for layer_index in range(self.config.n_layer)
-        ]
-        self._lm_cores = [
-            FunctionalCore(
-                numerics=numerics,
-                registers={},
-                memory=self._lm_head_memory[device_id],
-            )
-            for device_id in range(num_devices)
-        ]
-        self._embedding_core = FunctionalCore(
-            numerics=numerics, registers={}, memory={}
-        )
-        # Batched (multi-stream) execution state; built lazily on the first
-        # generate_batch() so single-stream users pay nothing for it.
-        self._batched: _BatchedState | None = None
+        self._engine = self._build_engine()
+        self._engine.pool.ensure(slots=1)
+        self._session_engine: _EngineState | None = None
 
     # ------------------------------------------------------------------ binding
     def _bound_memory(self, memory: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -1282,29 +1109,41 @@ class DFXFunctionalSimulator:
             "ln_f_beta": self.weights.ln_f_beta,
         })
 
-    # ------------------------------------------------------------------- syncing
-    def _run_lockstep(
-        self,
-        program: Program,
-        cores: list[FunctionalCore],
-        shared_inputs: frozenset[str] = frozenset(),
-        replicated_memory: frozenset[str] = frozenset(),
-        batched: bool = False,
-    ) -> list[FunctionalCore]:
-        """Run ``program`` on every device core, resolving syncs by all-gather.
+    # ------------------------------------------------------------------- engine
+    def _build_engine(self) -> "_EngineState":
+        """Bind the staged weights into fresh cores over a new KV arena pool.
 
-        ``shared_inputs`` must name registers staged with identical values in
-        every core's register file; together with ``replicated_memory`` it
-        lets the linker hoist device-identical instruction runs (LayerNorms,
-        residuals) to execute once on core 0.
+        The cores persist: their register dicts are reused across token steps
+        (every program defines its registers before reading them, and scatter
+        accumulators are fully overwritten), which avoids re-staging cores and
+        dictionaries on every token.  Each core gets a memory dict of its own
+        over the shared staged weight arrays, so the engine's KV arenas never
+        collide with another engine's.
         """
-        linked = (
-            program
-            if isinstance(program, LinkedProgram)
-            else link_program(
-                program, self.numerics, shared_inputs, replicated_memory, batched
+        pool = BatchedKVPool(_kv_dtype(self.numerics))
+
+        def core(memory: dict[str, np.ndarray]) -> FunctionalCore:
+            return FunctionalCore(
+                numerics=self.numerics, registers={}, memory=dict(memory), kv_pool=pool
             )
+
+        return _EngineState(
+            pool=pool,
+            layer_cores=[
+                [core(device_layers[layer_index]) for device_layers in self._layer_memory]
+                for layer_index in range(self.config.n_layer)
+            ],
+            lm_cores=[core(memory) for memory in self._lm_head_memory],
+            embedding_core=core({}),
         )
+
+    def _run_lockstep(self, linked: LinkedProgram, cores: list[FunctionalCore]) -> None:
+        """Run ``linked`` on every device core, resolving syncs by all-gather.
+
+        Shared prefixes run once on core 0 and are handed to the other cores
+        by reference; the caller must have staged the program's shared inputs
+        with identical values on every core.
+        """
         primary = cores[0]
         others = cores[1:]
         dtype = self.numerics.dtype
@@ -1329,32 +1168,72 @@ class DFXFunctionalSimulator:
             gathered = np.concatenate(slices, axis=-1).astype(dtype, copy=False)
             for core in cores:
                 core.registers[sync.dst] = gathered
-        return cores
 
-    # ------------------------------------------------------------------- forward
-    def forward(self, token_ids: np.ndarray) -> tuple[np.ndarray, int]:
-        """Run one forward pass (summarization or one generation iteration).
+    def _check_tokens(self, token_ids: np.ndarray, end: int) -> None:
+        """Reject ids outside the vocabulary and positions past the context."""
+        vocab_size = self.config.vocab_size
+        if token_ids.min() < 0 or token_ids.max() >= vocab_size:
+            raise ExecutionError(f"token id out of vocabulary range [0, {vocab_size})")
+        if end > self.config.n_positions:
+            raise ExecutionError(
+                f"sequence length {end} exceeds maximum context "
+                f"{self.config.n_positions}"
+            )
 
-        Returns the full-vocabulary logits of the last position and the greedy
-        next-token id.  The KV cache persists across calls.
+    def _check_request(
+        self, prompt: list[int], max_new_tokens: int, past: int
+    ) -> np.ndarray:
+        """Validate a whole generation request up front; returns its prompt ids.
+
+        The last generated token is never fed back, so the request occupies
+        ``past + len(prompt) + max_new_tokens - 1`` positions.
         """
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        if token_ids.ndim != 1 or token_ids.size == 0:
-            raise ExecutionError("token_ids must be a non-empty 1-D array")
-        rows = int(token_ids.size)
-        past = self._past_length
-        positions = np.arange(past, past + rows)
+        if max_new_tokens <= 0:
+            raise ExecutionError("max_new_tokens must be positive")
+        prompt_ids = np.asarray(prompt, dtype=np.int64)
+        if prompt_ids.ndim != 1 or prompt_ids.size == 0:
+            raise ExecutionError("prompt must be a non-empty 1-D token sequence")
+        self._check_tokens(prompt_ids, past + prompt_ids.size + max_new_tokens - 1)
+        return prompt_ids
 
-        # Token embedding (identical on every device; computed via the program).
-        embedding_program = self.compiler.compile_embedding(rows)
-        embedding_core = self._embedding_core
+    def _cohort_forward(
+        self,
+        engine: "_EngineState",
+        token_ids: np.ndarray,
+        past: int,
+        lo: int,
+        hi: int,
+    ) -> np.ndarray:
+        """One lockstep forward over a cohort occupying arena slots [lo, hi).
+
+        ``token_ids`` is ``(streams, rows)``: each stream's token rows for
+        this step (all streams share the same ``past``).  Returns the
+        ``(streams, vocab_size)`` logits of every stream's last row.
+        Per-stream results are bit-identical to running each stream alone
+        as a one-slot cohort.
+        """
+        rows = token_ids.shape[1]
+        end = past + rows
+        self._check_tokens(token_ids, end)
+        pool = engine.pool
+        if end > pool.capacity:
+            # Geometric growth keeps a bare forward loop amortized O(1) per
+            # token; sessions reserve their capacity at admission instead.
+            pool.ensure(
+                capacity=min(max(end, 2 * pool.capacity), self.config.n_positions)
+            )
+
+        embedding_core = engine.embedding_core
         embedding_core.memory["wte_rows"] = self.weights.wte[token_ids]
-        embedding_core.memory["wpe_rows"] = self.weights.wpe[positions]
-        embedding_core.execute(embedding_program)
+        embedding_core.memory["wpe_rows"] = self.weights.wpe[past:end]
+        self._run_lockstep(
+            link_program(self.compiler.compile_embedding(rows), self.numerics),
+            [embedding_core],
+        )
         hidden = embedding_core.registers["hidden"]
 
-        # Decoder layers in lockstep across devices.  A single-row step uses
-        # the cached past-length-independent decode-step program.
+        # A single-row step uses the cached past-length-independent
+        # decode-step program.
         if rows == 1:
             layer_program = self.compiler.compile_decoder_step()
         else:
@@ -1365,52 +1244,58 @@ class DFXFunctionalSimulator:
             self._layer_shared_inputs,
             self._replicated_layer_names,
         )
-        reserve = self._kv_reserve
-        for layer_index in range(self.config.n_layer):
+        for cores in engine.layer_cores:
             # Every device starts from the same hidden state; no handler
             # mutates a register array in place, so the staged array is
             # shared by reference rather than copied per device.
-            cores = self._layer_cores[layer_index]
             for core in cores:
                 core.registers["hidden"] = hidden
-                core.kv_reserve = reserve
+                core.slot_lo = lo
+                core.slot_hi = hi
             self._run_lockstep(linked_layer, cores)
             hidden = cores[0].registers["hidden_out"]
 
         # LM head on the last position only.
-        lm_head_program = self.compiler.compile_lm_head()
-        last_hidden = hidden[-1:, :]
-        cores = self._lm_cores
-        for core in cores:
-            core.registers["hidden_last"] = last_hidden
-        self._run_lockstep(
-            lm_head_program,
-            cores,
+        linked_lm_head = link_program(
+            self.compiler.compile_lm_head(),
+            self.numerics,
             self._lm_shared_inputs,
             self._replicated_lm_names,
         )
-        logits = np.asarray(cores[0].registers["logits"], dtype=np.float32)[0]
+        last_hidden = hidden[:, -1:, :]
+        cores = engine.lm_cores
+        for core in cores:
+            core.registers["hidden_last"] = last_hidden
+        self._run_lockstep(linked_lm_head, cores)
+        return np.asarray(cores[0].registers["logits"], dtype=np.float32)[:, 0, :]
 
-        self._past_length += rows
+    # ------------------------------------------------------------------- forward
+    def forward(self, token_ids: np.ndarray) -> tuple[np.ndarray, int]:
+        """Run one forward pass (summarization or one generation iteration).
+
+        Returns the full-vocabulary logits of the last position and the greedy
+        next-token id.  The KV cache persists across calls.  The pass runs as
+        a one-slot cohort of the same engine batched sessions use.
+        """
+        token_ids = np.asarray(token_ids, dtype=np.int64)
+        if token_ids.ndim != 1 or token_ids.size == 0:
+            raise ExecutionError("token_ids must be a non-empty 1-D array")
+        logits = self._cohort_forward(
+            self._engine, token_ids[None], self._past_length, 0, 1
+        )[0]
+        self._past_length += int(token_ids.size)
         return logits, int(np.argmax(logits))
 
     def generate(self, input_token_ids: list[int], max_new_tokens: int) -> list[int]:
         """Greedy generation mirroring :class:`repro.model.TextGenerator`."""
-        if max_new_tokens <= 0:
-            raise ExecutionError("max_new_tokens must be positive")
-        # Reserve KV capacity for the whole run so the caches never regrow —
-        # including warm buffers kept alive across reset_cache().
-        self._kv_reserve = max(
-            self._kv_reserve,
-            self._past_length + len(input_token_ids) + max_new_tokens,
+        prompt = self._check_request(input_token_ids, max_new_tokens, self._past_length)
+        # Reserve KV capacity for the whole run so the arenas never regrow —
+        # including warm arenas kept alive across reset_cache().
+        self._engine.pool.ensure(
+            capacity=self._past_length + prompt.size + max_new_tokens
         )
-        for device_layers in self._layer_memory:
-            for memory in device_layers:
-                for value in memory.values():
-                    if type(value) is GrowableKV:
-                        value.reserve(self._kv_reserve)
         outputs: list[int] = []
-        _, next_token = self.forward(np.asarray(input_token_ids))
+        _, next_token = self.forward(prompt)
         outputs.append(next_token)
         step = np.empty(1, dtype=np.int64)
         for _ in range(max_new_tokens - 1):
@@ -1427,11 +1312,7 @@ class DFXFunctionalSimulator:
         so a serving loop pays the one-time staging cost once per process,
         not once per request.
         """
-        for device_layers in self._layer_memory:
-            for memory in device_layers:
-                for value in memory.values():
-                    if type(value) is GrowableKV:
-                        value.length = 0
+        self._engine.pool.clear_all()
         self._past_length = 0
 
     @property
@@ -1440,122 +1321,11 @@ class DFXFunctionalSimulator:
         return self._past_length
 
     # ------------------------------------------------------------------ batched
-    def _ensure_batched_state(self) -> "_BatchedState":
-        """Build (once) the cores and KV arenas of the batched engine.
-
-        The batched cores share the staged weight arrays with the
-        single-stream cores but keep separate memory dicts, so per-request
-        :class:`GrowableKV` buffers and per-cohort :class:`BatchedKV` arenas
-        never collide.
-        """
-        if self._batched is not None:
-            return self._batched
-        dtype = (
-            np.dtype(np.float32)
-            if self.numerics.accumulate_fp32
-            else self.numerics.dtype
-        )
-        pool = BatchedKVPool(dtype)
-        layer_memory = [
-            [
-                {
-                    name: value
-                    for name, value in memory.items()
-                    if type(value) is not GrowableKV
-                }
-                for memory in device_layers
-            ]
-            for device_layers in self._layer_memory
-        ]
-        layer_cores = [
-            [
-                BatchedFunctionalCore(
-                    numerics=self.numerics,
-                    registers={},
-                    memory=layer_memory[device_id][layer_index],
-                    kv_pool=pool,
-                )
-                for device_id in range(self.num_devices)
-            ]
-            for layer_index in range(self.config.n_layer)
-        ]
-        lm_cores = [
-            BatchedFunctionalCore(
-                numerics=self.numerics,
-                registers={},
-                memory=self._lm_head_memory[device_id],
-                kv_pool=pool,
-            )
-            for device_id in range(self.num_devices)
-        ]
-        embedding_core = BatchedFunctionalCore(
-            numerics=self.numerics, registers={}, memory={}, kv_pool=pool
-        )
-        self._batched = _BatchedState(
-            pool=pool,
-            layer_cores=layer_cores,
-            lm_cores=lm_cores,
-            embedding_core=embedding_core,
-        )
-        return self._batched
-
-    def _batched_forward(
-        self, token_ids: np.ndarray, past: int, lo: int, hi: int
-    ) -> np.ndarray:
-        """One lockstep forward over a cohort occupying arena slots [lo, hi).
-
-        ``token_ids`` is ``(batch, rows)``: each stream's token rows for this
-        step (all streams share the same ``past``).  Returns the greedy next
-        token of every stream.  Per-stream results are bit-identical to
-        feeding the same rows through :meth:`forward` one stream at a time —
-        every fused expression is a stacked-3-D generalization proven
-        bit-exact per slice.
-        """
-        state = self._ensure_batched_state()
-        batch, rows = token_ids.shape
-        positions = np.arange(past, past + rows)
-
-        embedding_program = self.compiler.compile_embedding(rows)
-        embedding_core = state.embedding_core
-        embedding_core.memory["wte_rows"] = self.weights.wte[token_ids]
-        embedding_core.memory["wpe_rows"] = self.weights.wpe[positions]
-        self._run_lockstep(embedding_program, [embedding_core], batched=True)
-        hidden = embedding_core.registers["hidden"]
-
-        if rows == 1:
-            layer_program = self.compiler.compile_decoder_step()
-        else:
-            layer_program = self.compiler.compile_decoder_layer(rows, past)
-        linked_layer = link_program(
-            layer_program,
-            self.numerics,
-            self._layer_shared_inputs,
-            self._replicated_layer_names,
-            batched=True,
-        )
-        for layer_index in range(self.config.n_layer):
-            cores = state.layer_cores[layer_index]
-            for core in cores:
-                core.registers["hidden"] = hidden
-                core.slot_lo = lo
-                core.slot_hi = hi
-            self._run_lockstep(linked_layer, cores)
-            hidden = cores[0].registers["hidden_out"]
-
-        lm_head_program = link_program(
-            self.compiler.compile_lm_head(),
-            self.numerics,
-            self._lm_shared_inputs,
-            self._replicated_lm_names,
-            batched=True,
-        )
-        last_hidden = hidden[:, -1:, :]
-        cores = state.lm_cores
-        for core in cores:
-            core.registers["hidden_last"] = last_hidden
-        self._run_lockstep(lm_head_program, cores)
-        logits = np.asarray(cores[0].registers["logits"], dtype=np.float32)[:, 0, :]
-        return np.argmax(logits, axis=-1)
+    def _ensure_session_engine(self) -> "_EngineState":
+        """The engine behind batched sessions, built on first use."""
+        if self._session_engine is None:
+            self._session_engine = self._build_engine()
+        return self._session_engine
 
     def batched_session(self) -> "BatchedGenerationSession":
         """Open a continuous-batching generation session on this simulator."""
@@ -1566,7 +1336,7 @@ class DFXFunctionalSimulator:
         prompts: list[list[int]],
         max_new_tokens: int | list[int],
     ) -> list[list[int]]:
-        """Greedy generation of many streams through the batched engine.
+        """Greedy generation of many streams through one session.
 
         Streams with equal prompt lengths prefill together and decode as
         lockstep cohorts; cohorts whose past lengths align merge, and
@@ -1594,32 +1364,32 @@ class DFXFunctionalSimulator:
         return [session.outputs(stream_id) for stream_id in stream_ids]
 
     def reclaim_batched_kv(self) -> None:
-        """Release the batched KV arenas' slot storage (explicit reclaim).
+        """Release the session engine's KV slot storage (explicit reclaim).
 
         Long serving runs otherwise hold the high-water-mark allocation of
         the largest cohort ever admitted; after this, the next session grows
         the arenas back on demand.  Weights, cores, compiled programs, and
         linked segments all stay warm.
         """
-        if self._batched is not None:
-            self._batched.pool.shrink()
+        if self._session_engine is not None:
+            self._session_engine.pool.shrink()
 
     @property
     def batched_kv_memory_bytes(self) -> int:
-        """Bytes currently allocated to the batched KV slot arenas."""
-        if self._batched is None:
+        """Bytes currently allocated to the session engine's KV slot arenas."""
+        if self._session_engine is None:
             return 0
-        return self._batched.pool.memory_bytes()
+        return self._session_engine.pool.memory_bytes()
 
 
 @dataclass
-class _BatchedState:
-    """Lazily built per-simulator state of the batched engine."""
+class _EngineState:
+    """Cores and KV arena pool of one engine of a simulator."""
 
     pool: BatchedKVPool
-    layer_cores: list[list[BatchedFunctionalCore]]
-    lm_cores: list[BatchedFunctionalCore]
-    embedding_core: BatchedFunctionalCore
+    layer_cores: list[list[FunctionalCore]]
+    lm_cores: list[FunctionalCore]
+    embedding_core: FunctionalCore
 
 
 class _Stream:
@@ -1653,7 +1423,7 @@ class _Cohort:
 
 
 class BatchedGenerationSession:
-    """Continuous-batching generation over the batched functional engine.
+    """Continuous-batching generation over the simulator's session engine.
 
     Mirrors a serving scheduler's decode slots: :meth:`admit` queues a
     stream, each :meth:`step` prefills pending admissions (grouped by prompt
@@ -1668,8 +1438,8 @@ class BatchedGenerationSession:
 
     def __init__(self, simulator: DFXFunctionalSimulator) -> None:
         self._sim = simulator
-        state = simulator._ensure_batched_state()
-        self._pool = state.pool
+        self._engine = simulator._ensure_session_engine()
+        self._pool = self._engine.pool
         self._pool.clear_all()
         self._slots = self._pool.slots
         self._free: list[tuple[int, int]] = [(0, self._slots)] if self._slots else []
@@ -1714,11 +1484,8 @@ class BatchedGenerationSession:
     # --------------------------------------------------------------- interface
     def admit(self, prompt: list[int], max_new_tokens: int) -> int:
         """Queue a stream; it prefills on the next :meth:`step`."""
-        if max_new_tokens <= 0:
-            raise ExecutionError("max_new_tokens must be positive")
-        if not prompt:
-            raise ExecutionError("prompt must be non-empty")
-        stream = _Stream(self._next_id, list(prompt), max_new_tokens)
+        prompt_ids = self._sim._check_request(prompt, max_new_tokens, 0)
+        stream = _Stream(self._next_id, prompt_ids.tolist(), max_new_tokens)
         self._next_id += 1
         self._streams[stream.stream_id] = stream
         self._pending.append(stream)
@@ -1777,9 +1544,9 @@ class BatchedGenerationSession:
             token_matrix = np.asarray(
                 [stream.prompt for stream in group], dtype=np.int64
             )
-            tokens = self._sim._batched_forward(token_matrix, 0, lo, hi)
+            logits = self._sim._cohort_forward(self._engine, token_matrix, 0, lo, hi)
             cohort = _Cohort(lo, hi, prompt_length, group)
-            self._record_tokens(cohort, tokens)
+            self._record_tokens(cohort, np.argmax(logits, axis=-1))
 
     def _decode_cohort(self, cohort: _Cohort) -> None:
         if cohort not in self._cohorts:
@@ -1787,11 +1554,11 @@ class BatchedGenerationSession:
         step_tokens = np.asarray(
             [[stream.next_token] for stream in cohort.streams], dtype=np.int64
         )
-        tokens = self._sim._batched_forward(
-            step_tokens, cohort.past, cohort.lo, cohort.hi
+        logits = self._sim._cohort_forward(
+            self._engine, step_tokens, cohort.past, cohort.lo, cohort.hi
         )
         cohort.past += 1
-        self._record_tokens(cohort, tokens)
+        self._record_tokens(cohort, np.argmax(logits, axis=-1))
 
     def _record_tokens(self, cohort: _Cohort, tokens: np.ndarray) -> None:
         """Record one generated token per stream, then process departures."""

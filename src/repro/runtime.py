@@ -14,9 +14,7 @@ appliance, and a tokenizer, and exposes ``generate`` / ``generate_text``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.core.appliance import DFXAppliance
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
@@ -122,26 +120,20 @@ class DFXRuntime:
             check_capacity=False,
         )
         self._simulator: DFXFunctionalSimulator | None = None
-        self._batched_simulator: DFXFunctionalSimulator | None = None
 
     # ---------------------------------------------------------------- internals
-    def _fresh_simulator(self) -> DFXFunctionalSimulator:
-        """Build a fresh functional simulator (empty KV cache) for one request."""
-        return DFXFunctionalSimulator(
-            self.weights, num_devices=self.num_devices, numerics=self.numerics
-        )
+    def _warm_simulator(self) -> DFXFunctionalSimulator:
+        """The one functional simulator behind every call, built on first use.
 
-    def _shared_batched_simulator(self) -> DFXFunctionalSimulator:
-        """The persistent simulator behind batched calls.
-
-        Batched sessions keep their KV state in slot arenas that every new
-        session clears and recycles, so one simulator serves all batched
-        requests — weights, compiled programs, and arena buffers stay warm
-        across calls.
+        Single requests clear its KV cache with ``reset_cache()`` and batched
+        sessions clear and recycle their slot arenas, so weights, compiled
+        programs, linked segments, and KV buffers stay warm across calls.
         """
-        if self._batched_simulator is None:
-            self._batched_simulator = self._fresh_simulator()
-        return self._batched_simulator
+        if self._simulator is None:
+            self._simulator = DFXFunctionalSimulator(
+                self.weights, num_devices=self.num_devices, numerics=self.numerics
+            )
+        return self._simulator
 
     # ------------------------------------------------------------------ public
     def generate(
@@ -155,7 +147,8 @@ class DFXRuntime:
         workload = Workload(
             input_tokens=len(input_token_ids), output_tokens=max_new_tokens
         )
-        simulator = self._fresh_simulator()
+        simulator = self._warm_simulator()
+        simulator.reset_cache()
         output_tokens = simulator.generate(list(input_token_ids), max_new_tokens)
         timing = self.appliance.run(workload)
         return RuntimeGeneration(
@@ -197,7 +190,7 @@ class DFXRuntime:
             )
         if any(budget <= 0 for budget in budgets):
             raise ExecutionError("max_new_tokens must be positive")
-        outputs = self._shared_batched_simulator().generate_batch(
+        outputs = self._warm_simulator().generate_batch(
             [list(prompt) for prompt in prompts], budgets
         )
         workload = Workload(

@@ -9,7 +9,7 @@ caching and four ring syncs, final norm, LM head) on 1, 2, and 4 devices.
 import numpy as np
 import pytest
 
-from repro.core.functional import DFXFunctionalSimulator, FunctionalCore, split_at_syncs
+from repro.core.functional import DFXFunctionalSimulator, FunctionalCore
 from repro.errors import ExecutionError
 from repro.isa.compiler import DFXCompiler
 from repro.isa.instructions import RouterInstruction, VectorInstruction
@@ -56,13 +56,13 @@ class TestFunctionalCorePrimitives:
                                   payload_elements=8)
             )
 
-    def test_split_at_syncs(self):
+    def test_program_segments_end_at_syncs(self):
         plan = build_partition_plan(GPT2_TEST_TINY, 2)
         program = DFXCompiler(GPT2_TEST_TINY, plan, 0).compile_decoder_layer(1, 0)
-        segments = split_at_syncs(program)
-        assert sum(1 for _, sync in segments if sync is not None) == 4
+        segments = program.segments()
+        assert sum(1 for segment in segments if segment.sync is not None) == 4
         # Instruction count is preserved across the split.
-        total = sum(len(seg) for seg, _ in segments) + 4
+        total = sum(len(segment.instructions) for segment in segments) + 4
         assert total == len(program)
 
 

@@ -3,19 +3,23 @@
 Covers the compiled-program cache (each distinct shape compiles at most once
 per ``generate()``), immutability of cached programs under execution, the
 bit-exactness contract between the linked fast path and the per-instruction
-slow path, KV growth inside the functional cores, and warm-cache reuse via
-``reset_cache``.
+slow path, KV growth inside the functional cores, warm-cache reuse via
+``reset_cache``, and input validation of the generation entry points.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.core.functional import (
+    BatchedKV,
+    BatchedKVPool,
     DFXFunctionalSimulator,
     FunctionalCore,
-    GrowableKV,
     link_program,
 )
+from repro.errors import ExecutionError
 from repro.isa.compiler import DFXCompiler
 from repro.isa.instructions import MatrixInstruction
 from repro.isa.opcodes import MatrixOpcode
@@ -27,6 +31,12 @@ from repro.parallel.partitioner import build_partition_plan
 @pytest.fixture()
 def simulator(tiny_weights):
     return DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
+
+
+def _kv_arenas(simulator):
+    """The KV arenas of device 0, layer 0 of the single-stream engine."""
+    memory = simulator._engine.layer_cores[0][0].memory
+    return [value for name, value in memory.items() if name.startswith("kv.")]
 
 
 class TestProgramCache:
@@ -95,44 +105,64 @@ class TestProgramCache:
 
 
 class TestFastSlowBitExactness:
-    """The linked fast path must match per-instruction execution bit for bit."""
+    """Every stream of a linked cohort must match the slow path bit for bit."""
 
-    def _stage(self, simulator, hidden):
-        registers = {"hidden": hidden.copy()}
-        memory = dict(simulator._layer_memory[0][0])
-        return FunctionalCore(numerics=FP16_DFX, registers=registers, memory=memory)
+    STREAMS = 3
 
-    def test_segment_execution_matches_instruction_execution(self, tiny_weights, rng):
+    def test_cohort_matches_per_stream_instruction_execution(self, tiny_weights, rng):
         # One device, so the identity sync handler preserves program widths.
         simulator = DFXFunctionalSimulator(tiny_weights, num_devices=1, numerics=FP16_DFX)
-        program = simulator.compiler.compile_decoder_layer(4, 0)
-        hidden = rng.normal(size=(4, GPT2_TEST_TINY.n_embd)).astype(np.float16)
-
-        fast = self._stage(simulator, hidden)
-        slow = self._stage(simulator, hidden)
+        weights = simulator._layer_memory[0][0]
+        pool = BatchedKVPool(np.float32)
+        pool.ensure(slots=self.STREAMS)
+        fast = FunctionalCore(
+            numerics=FP16_DFX, memory=dict(weights),
+            slot_lo=0, slot_hi=self.STREAMS, kv_pool=pool,
+        )
+        slows = [
+            FunctionalCore(numerics=FP16_DFX, memory=dict(weights))
+            for _ in range(self.STREAMS)
+        ]
 
         def sync_handler(sync, local):
             # Single-device stand-in: the gather is the identity.
             return FP16_DFX.cast(np.concatenate([local], axis=-1))
 
-        fast.execute(program, sync_handler)
-        for instruction in program.instructions:
-            slow.execute_instruction(instruction, sync_handler)
+        compiler = simulator.compiler
+        steps = [(compiler.compile_decoder_layer(4, 0), 4), (compiler.compile_decoder_step(), 1)]
+        for program, rows in steps:
+            # Three distinct hidden states: the prefill, then one decode step.
+            hidden = rng.normal(
+                size=(self.STREAMS, rows, GPT2_TEST_TINY.n_embd)
+            ).astype(np.float16)
+            fast.registers["hidden"] = hidden
+            simulator._run_lockstep(link_program(program, FP16_DFX), [fast])
+            for stream, slow in enumerate(slows):
+                slow.registers["hidden"] = hidden[stream]
+                for instruction in program.instructions:
+                    slow.execute_instruction(instruction, sync_handler)
+                where = f"{program.name} stream {stream}"
 
-        assert set(slow.registers) <= set(fast.registers)
-        for name, value in slow.registers.items():
-            np.testing.assert_array_equal(
-                fast.registers[name], value, err_msg=f"register {name}"
-            )
-        for name, value in slow.memory.items():
-            expected = value.view() if isinstance(value, GrowableKV) else value
-            actual = fast.memory[name]
-            actual = actual.view() if isinstance(actual, GrowableKV) else actual
-            np.testing.assert_array_equal(actual, expected, err_msg=f"memory {name}")
+                assert set(slow.registers) <= set(fast.registers)
+                for name, value in slow.registers.items():
+                    np.testing.assert_array_equal(
+                        fast.registers[name][stream], value,
+                        err_msg=f"{where} register {name}",
+                    )
+                assert any(name.startswith("kv.") for name in slow.memory)
+                for name, value in slow.memory.items():
+                    actual = fast.memory[name]
+                    if type(actual) is BatchedKV:
+                        actual = actual.view(0, self.STREAMS)[stream]
+                    elif name not in weights:
+                        actual = actual[stream]
+                    np.testing.assert_array_equal(
+                        actual, value, err_msg=f"{where} memory {name}"
+                    )
 
     def test_program_outputs_visible_on_every_core(self, simulator):
         simulator.forward(np.array([1, 2, 3]))
-        for layer_cores in simulator._layer_cores:
+        for layer_cores in simulator._engine.layer_cores:
             outputs = [core.registers["hidden_out"] for core in layer_cores]
             for other in outputs[1:]:
                 np.testing.assert_array_equal(outputs[0], other)
@@ -141,18 +171,16 @@ class TestFastSlowBitExactness:
 class TestKVGrowthInCores:
     def test_store_kv_uses_growable_buffers(self, simulator):
         simulator.forward(np.array([7, 8]))
-        memory = simulator._layer_memory[0][0]
-        kv_buffers = [v for k, v in memory.items() if k.startswith("kv.")]
+        kv_buffers = _kv_arenas(simulator)
         assert kv_buffers, "expected KV buffers after a forward pass"
-        assert all(isinstance(buffer, GrowableKV) for buffer in kv_buffers)
-        assert all(buffer.length == 2 for buffer in kv_buffers)
+        assert all(isinstance(buffer, BatchedKV) for buffer in kv_buffers)
+        assert all(buffer.lengths[0] == 2 for buffer in kv_buffers)
 
     def test_generate_reserves_full_capacity_up_front(self, simulator):
         simulator.generate([1, 2, 3], max_new_tokens=8)
-        memory = simulator._layer_memory[0][0]
-        buffer = next(v for k, v in memory.items() if k.startswith("kv."))
+        buffer = _kv_arenas(simulator)[0]
         assert buffer.capacity >= 3 + 8
-        assert buffer.length == 3 + 8 - 1  # last token is never fed back
+        assert buffer.lengths[0] == 3 + 8 - 1  # last token is never fed back
 
     def test_reset_cache_keeps_capacity_and_matches_fresh_run(self, tiny_weights):
         warm = DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
@@ -170,19 +198,86 @@ class TestKVGrowthInCores:
         simulator.generate([1, 2], max_new_tokens=2)
         simulator.reset_cache()
         simulator.generate([1, 2, 3], max_new_tokens=20)
-        memory = simulator._layer_memory[0][0]
-        buffer = next(v for k, v in memory.items() if k.startswith("kv."))
+        buffer = _kv_arenas(simulator)[0]
         assert buffer.capacity >= 23
 
-    def test_growable_kv_append_and_doubling(self):
-        buffer = GrowableKV(cols=4, dtype=np.dtype(np.float32), reserve=2)
-        rows = np.arange(8, dtype=np.float32).reshape(2, 4)
-        for _ in range(10):
-            buffer.append(rows)
-        assert buffer.length == 20
-        assert buffer.capacity >= 20
-        np.testing.assert_array_equal(buffer.view()[:2], rows)
-        np.testing.assert_array_equal(buffer.view()[18:], rows)
+    def test_bare_forward_loop_reallocates_logarithmically(self, simulator, tiny_weights):
+        simulator.forward(np.array([1]))
+        arena = _kv_arenas(simulator)[0]
+        allocations = [arena.data]
+        for token in range(2, 21):
+            simulator.forward(np.array([token]))
+            if arena.data is not allocations[-1]:
+                allocations.append(arena.data)
+        assert arena.lengths[0] == 20
+        assert arena.capacity >= 20
+        # Capacity doubles from the 8-row minimum: 8 -> 16 -> 32.
+        assert len(allocations) - 1 <= math.ceil(math.log2(20 / 8))
+        # Regrowth keeps every cached row: a run that never regrows caches
+        # the same rows.
+        reserved = DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
+        reserved._engine.pool.ensure(capacity=20)
+        for token in range(1, 21):
+            reserved.forward(np.array([token]))
+        for grown, kept in zip(_kv_arenas(simulator), _kv_arenas(reserved)):
+            np.testing.assert_array_equal(grown.view(0, 1), kept.view(0, 1))
+
+
+class TestKVArenas:
+    """The slot arenas every engine keeps its KV cache in."""
+
+    def test_per_slot_views_match_concatenation(self, rng):
+        arena = BatchedKV(cols=4, dtype=np.dtype(np.float32), slots=3, capacity=0)
+        blocks = []
+        for rows in (2, 1, 1, 3):
+            block = rng.normal(size=(3, rows, 4)).astype(np.float32)
+            arena.ensure(3, int(arena.lengths[0]) + rows)
+            arena.append(0, 3, block)
+            blocks.append(block)
+        expected = np.concatenate(blocks, axis=1)
+        np.testing.assert_array_equal(arena.view(0, 3), expected)
+        np.testing.assert_array_equal(arena.view(1, 2)[0], expected[1])
+
+    def test_ensure_grows_and_keeps_contents(self, rng):
+        arena = BatchedKV(cols=4, dtype=np.dtype(np.float32), slots=2, capacity=8)
+        rows = rng.normal(size=(2, 5, 4)).astype(np.float32)
+        arena.append(0, 2, rows)
+        arena.ensure(slots=4, capacity=20)
+        assert (arena.slots, arena.capacity) == (4, 20)
+        assert arena.lengths.tolist() == [5, 5, 0, 0]
+        np.testing.assert_array_equal(arena.view(0, 2), rows)
+
+    def test_clear_slots_recycles_without_reallocating(self):
+        pool = BatchedKVPool(np.float32)
+        pool.ensure(slots=2, capacity=8)
+        arena = pool.new_arena(4)
+        arena.append(0, 2, np.ones((2, 5, 4), dtype=np.float32))
+        buffer = arena.data
+        pool.clear_slots(0, 2)
+        assert arena.lengths.tolist() == [0, 0]
+        arena.append(0, 2, np.zeros((2, 2, 4), dtype=np.float32))
+        assert arena.data is buffer
+        np.testing.assert_array_equal(arena.view(0, 2), np.zeros((2, 2, 4)))
+
+    def test_copy_slots_moves_contents_and_lengths(self):
+        pool = BatchedKVPool(np.float32)
+        pool.ensure(slots=3, capacity=8)
+        arena = pool.new_arena(2)
+        arena.append(2, 3, np.full((1, 3, 2), 7.0, dtype=np.float32))
+        pool.copy_slots(0, 2, 1)
+        assert arena.lengths[0] == 3
+        np.testing.assert_array_equal(arena.view(0, 1), np.full((1, 3, 2), 7.0))
+
+    def test_shrink_releases_every_arena(self):
+        pool = BatchedKVPool(np.float32)
+        pool.ensure(slots=4, capacity=32)
+        for cols in (4, 8):
+            pool.new_arena(cols)
+        assert pool.memory_bytes() == 4 * 32 * (4 + 8) * 4
+        pool.shrink()
+        assert pool.memory_bytes() == 0
+        pool.ensure(slots=1)
+        assert all(arena.slots == 1 for arena in pool.arenas)
 
 
 class TestScatterOwnership:
@@ -309,7 +404,7 @@ class TestBatchedEngine:
             tiny_weights, num_devices=2, numerics=FP16_DFX
         )
         first = simulator.generate_batch(self.PROMPTS, self.BUDGETS)
-        state = simulator._batched
+        state = simulator._session_engine
         arenas_before = [id(arena.data) for arena in state.pool.arenas]
         bytes_before = simulator.batched_kv_memory_bytes
         again = simulator.generate_batch(self.PROMPTS, self.BUDGETS)
@@ -366,3 +461,61 @@ class TestLinkedProgramStructure:
         first = linked.segments[0]
         assert first.prefix is not None
         assert "lnorm1" in first.shared_out
+
+
+class TestRequestValidation:
+    """Bad token ids and context overflows raise before any KV is written."""
+
+    VOCAB = GPT2_TEST_TINY.vocab_size
+    CONTEXT = GPT2_TEST_TINY.n_positions
+
+    @pytest.mark.parametrize("prompt", [[-1, 5], [5, VOCAB]])
+    def test_generate_rejects_ids_outside_vocabulary(self, simulator, prompt):
+        with pytest.raises(ExecutionError, match="vocabulary"):
+            simulator.generate(prompt, 2)
+        assert simulator.kv_cache_length == 0
+
+    @pytest.mark.parametrize("token", [-1, VOCAB])
+    def test_forward_rejects_ids_outside_vocabulary(self, simulator, token):
+        simulator.forward(np.array([1, 2]))
+        with pytest.raises(ExecutionError, match="vocabulary"):
+            simulator.forward(np.array([token]))
+        assert simulator.kv_cache_length == 2
+
+    def test_generate_rejects_context_overflow_up_front(self, simulator):
+        # The last generated token is never fed back: a prompt one short of
+        # the window plus two new tokens fits exactly, three do not.
+        prompt = [1] * (self.CONTEXT - 1)
+        with pytest.raises(ExecutionError, match="context"):
+            simulator.generate(prompt, 3)
+        assert simulator.kv_cache_length == 0
+        assert len(simulator.generate(prompt, 2)) == 2
+        assert simulator.kv_cache_length == self.CONTEXT
+
+    def test_forward_rejects_context_overflow(self, simulator):
+        simulator.forward(np.ones(self.CONTEXT, dtype=np.int64))
+        with pytest.raises(ExecutionError, match="context"):
+            simulator.forward(np.array([1]))
+        assert simulator.kv_cache_length == self.CONTEXT
+
+    @pytest.mark.parametrize("prompt", [[-3, 4], [4, VOCAB]])
+    def test_generate_batch_rejects_ids_outside_vocabulary(self, simulator, prompt):
+        with pytest.raises(ExecutionError, match="vocabulary"):
+            simulator.generate_batch([[1, 2], prompt], 2)
+
+    def test_admit_rejects_bad_requests_and_session_continues(self, simulator, tiny_weights):
+        session = simulator.batched_session()
+        kept = session.admit([1, 2, 3], 4)
+        with pytest.raises(ExecutionError, match="vocabulary"):
+            session.admit([self.VOCAB], 1)
+        with pytest.raises(ExecutionError, match="context"):
+            session.admit([1] * self.CONTEXT, 2)
+        session.run()
+        fresh = DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
+        assert session.outputs(kept) == fresh.generate([1, 2, 3], 4)
+
+    def test_rejected_request_leaves_generation_unchanged(self, simulator, tiny_weights):
+        with pytest.raises(ExecutionError):
+            simulator.generate([2, -7], 3)
+        fresh = DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
+        assert simulator.generate([9, 10], 5) == fresh.generate([9, 10], 5)

@@ -43,6 +43,22 @@ class TestGeneration:
         second = runtime.generate([5, 6, 7], max_new_tokens=3)
         assert first.output_token_ids == second.output_token_ids
 
+    def test_warm_simulator_compiles_decoder_step_once(self, runtime):
+        runtime.generate([5, 6, 7], max_new_tokens=3)
+        runtime.generate([8, 9], max_new_tokens=3)
+        counts = runtime._simulator.compiler.compile_counts
+        assert counts["decoder-step[device=0]"] == 1
+
+    def test_batched_and_single_requests_share_one_simulator(self, runtime):
+        single = runtime.generate([4, 5, 6], max_new_tokens=4)
+        simulator = runtime._simulator
+        batch = runtime.generate_batch([[4, 5, 6], [7, 8]], 4)
+        assert runtime._simulator is simulator
+        assert batch.output_token_ids[0] == single.output_token_ids
+        assert runtime.generate([4, 5, 6], max_new_tokens=4).output_token_ids == (
+            single.output_token_ids
+        )
+
     def test_generate_text_round_trip(self, runtime):
         generation = runtime.generate_text("hello dfx appliance", max_new_tokens=3)
         assert generation.text is not None
