@@ -12,7 +12,7 @@ subsystem on the operator's real questions:
 2. **Fleet composition** — the full host (two DFX clusters) versus a
    heterogeneous fleet that drafts the rack's GPU appliance behind the same
    queue, with per-appliance utilization.
-3. **Capacity planning** — `find_max_rate_under_slo`: the highest offered
+3. **Capacity planning** — `run_serving_capacity`: the highest offered
    load each configuration sustains while keeping p95 response time under
    the SLO.
 4. **The batching tradeoff (Sec. III-A)** — `run_batching_comparison`: the
@@ -24,6 +24,11 @@ subsystem on the operator's real questions:
 5. **Batch-aware capacity planning** — `run_batch_capacity_sweep`: how much
    extra SLO-compliant offered load each step of `max_batch_size` buys the
    GPU appliance.
+
+Studies 3-5 are factorial slices of the design-space-exploration engine:
+each returns one table of candidates x report metrics (a
+`repro.dse.ExplorationResult`), and the gains printed below are read off
+it with `value(metric, **labels)`.
 
 Every appliance below comes from the unified backend registry
 (`make_backend("dfx", ...)` / `make_backend("gpu", ...)`): the serving
@@ -151,39 +156,43 @@ def main() -> None:
 
     print("\n-- Capacity under SLO: max offered load with p95 <= 8 s --\n")
     capacity = run_serving_capacity(GPT2_1_5B, slo_s=8.0)
+    rows = []
+    for label in capacity.space.dimension("appliance").labels:
+        rate = capacity.value("max_rate_per_s", appliance=label)
+        rows.append([label, rate, rate * 3600.0])
     print(format_table(
-        ["configuration", "max rate (req/s)", "max load (req/hour)"],
-        [
-            [label, plan.max_rate_per_s, plan.max_requests_per_hour]
-            for label, plan in capacity.plans.items()
-        ],
+        ["configuration", "max rate (req/s)", "max load (req/hour)"], rows
     ))
     print("\nThe second DFX cluster roughly doubles SLO-compliant capacity, and "
           "drafting the GPU appliance adds the rest of the rack's headroom.")
 
     print("\n-- The batching tradeoff: unbatched latency vs batched throughput --\n")
     batching = run_batching_comparison(GPT2_1_5B)
-    low_tails = batching.low_load_tail_latency_s()
-    high_rates = batching.high_load_tokens_per_second()
     rows = []
-    for label in batching.low_load:
-        high = batching.high_load[label]
+    for label in batching.space.dimension("regime").labels:
+        def bursty(metric: str) -> float:
+            return batching.value(metric, trace="high", regime=label)
+
         rows.append([
             label,
-            low_tails[label],
-            high_rates[label],
-            high.mean_batch_size,
-            high.mean_batch_gather_delay_s,
-            100 * high.utilization,
+            batching.value("p99_response_s", trace="low", regime=label),
+            bursty("output_tokens_per_s"),
+            bursty("mean_batch_size"),
+            bursty("mean_gather_delay_s"),
+            100 * bursty("utilization"),
         ])
     print(format_table(
         ["configuration", "p99 low load (s)", "bursty tok/s",
          "mean batch", "gather delay (s)", "bursty util %"],
         rows,
     ))
+    gain = (
+        batching.value("output_tokens_per_s", trace="high", regime="gpu-dynamic")
+        / batching.value("output_tokens_per_s", trace="high", regime="gpu-unbatched")
+    )
     print(f"\nDFX serves every request alone and still holds the lowest tail "
           f"latency at low load; dynamic batching buys the GPU "
-          f"{batching.gpu_batching_throughput_gain:.1f}x throughput on the bursty "
+          f"{gain:.1f}x throughput on the bursty "
           f"trace at the price of batch-gather latency — the paper's reason "
           f"datacenters run text generation unbatched (Sec. III-A).")
 
@@ -192,18 +201,21 @@ def main() -> None:
         "gpu", config=GPT2_1_5B, slo_s=30.0, batch_sizes=(1, 2, 4, 8),
         batch_timeout_s=1.0,
     )
+    sizes = sweep.space.dimension("batch").labels
+    rates = {size: sweep.value("max_rate_per_s", batch=size) for size in sizes}
     print(format_table(
         ["max batch size", "max rate (req/s)", "max load (req/hour)",
          "mean batch @ capacity"],
         [
-            [size, plan.max_rate_per_s, plan.max_requests_per_hour,
-             plan.report_at_capacity.mean_batch_size
-             if plan.report_at_capacity else 0.0]
-            for size, plan in sweep.plans.items()
+            [size, rates[size], rates[size] * 3600.0,
+             sweep.value("mean_batch_size", batch=size)]
+            for size in sizes
         ],
     ))
-    print(f"\nBatch size {sweep.best_batch_size()} sustains "
-          f"{sweep.batching_capacity_gain:.1f}x the unbatched SLO-compliant "
+    # Ties break toward the smaller batch (less gather latency).
+    best = min(sizes, key=lambda size: (-rates[size], int(size)))
+    print(f"\nBatch size {best} sustains "
+          f"{rates[best] / rates['1']:.1f}x the unbatched SLO-compliant "
           f"load: the operator's other lever once the latency budget allows "
           f"gathering at all.")
 

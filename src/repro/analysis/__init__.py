@@ -8,7 +8,6 @@ from repro.analysis.metrics import (
     average_speedup,
     average_throughput_ratio,
     average_throughput_tokens_per_second,
-    geometric_mean_speedup,
     pair_results,
     stage_gflops,
 )
@@ -29,12 +28,7 @@ from repro.analysis.workload_presets import (
 )
 from repro.analysis import experiments
 from repro.analysis.experiments import (
-    BatchCapacitySweepResult,
-    BatchingComparisonResult,
-    SchedulerComparisonResult,
-    ServingCapacityResult,
     Figure8Result,
-    fleet_capacity_plan,
     run_batch_capacity_sweep,
     run_batching_comparison,
     run_design_space_exploration,
@@ -50,7 +44,6 @@ __all__ = [
     "average_speedup",
     "average_throughput_ratio",
     "average_throughput_tokens_per_second",
-    "geometric_mean_speedup",
     "pair_results",
     "stage_gflops",
     "BreakdownReport",
@@ -68,12 +61,7 @@ __all__ = [
     "PRIMARY_SETUP",
     "SCALABILITY_SETUP",
     "experiments",
-    "BatchCapacitySweepResult",
-    "BatchingComparisonResult",
     "Figure8Result",
-    "SchedulerComparisonResult",
-    "ServingCapacityResult",
-    "fleet_capacity_plan",
     "run_design_space_exploration",
     "run_figure8",
     "run_batch_capacity_sweep",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.analysis.metrics import ComparisonRow
-from repro.results import InferenceResult
 
 
 def average_energy_efficiency_gain(rows: list[ComparisonRow]) -> float:
@@ -19,8 +18,3 @@ def average_energy_efficiency_gain(rows: list[ComparisonRow]) -> float:
     if gpu_average == 0:
         return float("inf")
     return dfx_average / gpu_average
-
-
-def request_energy_joules(result: InferenceResult) -> float:
-    """Accelerator energy of one request (power x latency)."""
-    return result.energy_joules

@@ -8,8 +8,8 @@ drivers and scores each result against the paper's published values.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from repro.analysis.breakdown import BreakdownReport, dfx_breakdown, gpu_breakdown
 from repro.analysis.cost import CostComparison, cost_comparison
@@ -41,13 +41,9 @@ from repro.model.datasets import paper_datasets
 from repro.model.gpt2 import GPT2Model
 from repro.model.numerics import FP16_DFX, FP16_GPU
 from repro.model.weights import generate_weights
-from repro.results import InferenceResult
 from repro.serving import (
     CHATBOT_MIX,
     DATACENTER_MIX,
-    ApplianceFleet,
-    ApplianceServer,
-    CapacityPlan,
     ContinuousBatching,
     DegradedModePolicy,
     DynamicBatching,
@@ -56,13 +52,10 @@ from repro.serving import (
     NetworkLink,
     NetworkModel,
     RetryPolicy,
-    ServingReport,
     WorkloadMix,
     bursty_trace,
-    capacity_search,
-    find_max_rate_under_slo,
-    make_scheduler,
     poisson_trace,
+    rack_fleet,
     with_service_levels,
 )
 from repro.workloads import (
@@ -370,62 +363,31 @@ def run_table2(
     return cost_comparison(gpu.run(workload), dfx.run(workload))
 
 
-# ------------------------------------------------- Serving (datacenter study)
-def _serving_backend(
-    spec: str | Backend,
-    config: GPT2Config,
-    num_devices: int | None,
-) -> Backend:
-    """Resolve a serving driver's backend argument.
-
-    Registry names are built with the driver's model configuration and
-    device count (``num_devices=None`` keeps the factory's own device
-    default, so single-device backends like ``"tpu"`` resolve cleanly);
-    backend instances pass through (they already embed their
-    configuration).
-    """
-    kwargs = {}
-    if isinstance(spec, str):
-        kwargs["config"] = config
-        if num_devices is not None:
-            kwargs["devices"] = num_devices
-    return make_backend(spec, **kwargs)
+# ------------------------------------------------------------ Serving studies
+# Each study returns the DSE engine's ExplorationResult over the parts it
+# built: one candidates x metrics table scored by a repro.dse.ServingEvaluator.
+def _serving_backend(spec: str | Backend, config: GPT2Config, num_devices: int | None) -> Backend:
+    """Build a registry name with the study's model and device count
+    (``None`` keeps the factory default); instances pass through."""
+    if not isinstance(spec, str):
+        return make_backend(spec)
+    devices = {} if num_devices is None else {"devices": num_devices}
+    return make_backend(spec, config=config, **devices)
 
 
-@dataclass(frozen=True)
-class SchedulerComparisonResult:
-    """One trace served under several scheduling policies on one appliance."""
+def _one_cluster(platform: Backend, name: str, **parts) -> dict[str, object]:
+    """Parts of a one-cluster ``ApplianceServer`` named ``name``."""
+    return {"platform": platform, "num_clusters": 1, "platform_name": name, **parts}
 
-    trace_length: int
-    reports: dict[str, ServingReport]  # policy name -> report
 
-    @staticmethod
-    def _offered_p95(report: ServingReport) -> float:
-        """p95 response time over *offered* requests, abandoned = infinity.
+def _serving_slice(metrics, *, jobs=1, slo_s=None, rate_bounds=(0.05, 64.0), **dimensions):
+    from repro.dse import Dimension, SearchSpace, ServingEvaluator, factorial_search
 
-        Ranking by the percentile over completed requests alone would reward
-        load shedding: a policy that abandons most of the trace shows a great
-        tail over its few survivors.  Counting every abandoned request as an
-        infinite response time removes that survivorship bias (a policy that
-        abandons more than 5% of the offered load has an infinite p95).
-        """
-        if report.num_offered == 0:
-            return 0.0
-        rank = math.ceil(0.95 * report.num_offered)  # 1-based order statistic
-        responses = sorted(c.response_time_s for c in report.completed)
-        if rank > len(responses):
-            return float("inf")
-        return responses[rank - 1]
-
-    def best_policy_by_p95(self) -> str:
-        """Policy with the lowest p95 over offered requests on this trace."""
-        return min(
-            self.reports,
-            key=lambda name: (
-                self._offered_p95(self.reports[name]),
-                self.reports[name].abandonment_rate,
-            ),
-        )
+    return factorial_search(
+        SearchSpace([Dimension(name, levels) for name, levels in dimensions.items()]),
+        ServingEvaluator(metrics, slo_s, rate_bounds=rate_bounds),
+        jobs=jobs,
+    )
 
 
 def run_scheduler_comparison(
@@ -438,234 +400,53 @@ def run_scheduler_comparison(
     mix: WorkloadMix = DATACENTER_MIX,
     seed: int = 11,
     trace=None,
-    platform_name: str | None = None,
     config: GPT2Config = GPT2_1_5B,
     num_devices: int | None = None,
-    retain_records: bool = True,
-) -> SchedulerComparisonResult:
-    """Serve one trace under each policy on one appliance (default: DFX 4U host).
-
-    ``platform`` may be a registered backend name (``"dfx"``, ``"gpu"``,
-    ``"tpu"``) or a :class:`~repro.backends.base.Backend`; names are built
-    with ``config`` and ``num_devices`` (``None`` keeps the backend
-    factory's own device default).  Pass
-    ``trace`` directly to study classed traffic (priorities / SLOs /
-    patience); otherwise a Poisson trace over ``mix`` is generated.
-    ``retain_records=False`` streams every policy's report (flat memory on
-    long traces).
+) -> "repro.dse.ExplorationResult":  # noqa: F821 - forward doc reference
+    """One trace (``trace``, or Poisson over ``mix``) under each ``scheduler``;
+    rank by ``offered_p95_s`` (unserved = infinite), then ``abandonment_rate``.
     """
-    if platform is None:
-        platform = _serving_backend("dfx", config, num_devices)
-        platform_name = platform_name or "dfx"
-    elif isinstance(platform, str):
-        # Resolve once so every policy serves the identical backend.
-        platform = _serving_backend(platform, config, num_devices)
-    if trace is None:
-        trace = poisson_trace(arrival_rate_per_s, duration_s, mix, seed=seed)
-    elif not hasattr(trace, "__len__"):
-        # The identical trace is served once per policy, so a lazy trace
-        # must be materialized here (it would be exhausted by the first).
-        trace = list(trace)
-    reports = {
-        policy: ApplianceServer(
-            platform,
-            num_clusters=num_clusters,
-            platform_name=platform_name,
-            scheduler=policy,
-            retain_records=retain_records,
-        ).serve(trace)
-        for policy in policies
-    }
-    return SchedulerComparisonResult(trace_length=len(trace), reports=reports)
-
-
-@dataclass(frozen=True)
-class ServingCapacityResult:
-    """Capacity planning: max sustainable rate under an SLO per configuration."""
-
-    slo_s: float
-    percentile: float
-    plans: dict[str, CapacityPlan]  # configuration label -> plan
-
-    def capacities_per_hour(self) -> dict[str, float]:
-        """Max offered load (requests/hour) meeting the SLO, per configuration."""
-        return {
-            label: plan.max_requests_per_hour for label, plan in self.plans.items()
-        }
+    if not policies:
+        raise ConfigurationError("a scheduler comparison needs at least one policy")
+    backend = _serving_backend("dfx" if platform is None else platform, config, num_devices)
+    return _serving_slice(
+        ("offered_p95_s", "abandonment_rate", "p95_response_s", "num_offered"),
+        appliance={backend.name: {"platform": backend, "num_clusters": num_clusters}},
+        # Every policy serves the identical trace, so a lazy one is materialized.
+        trace={"poisson": poisson_trace(arrival_rate_per_s, duration_s, mix, seed=seed)}
+        if trace is None else {"given": list(trace)},
+        scheduler=policies,
+    )
 
 
 def run_serving_capacity(
     config: GPT2Config = GPT2_1_5B,
     *,
     slo_s: float = 8.0,
-    percentile: float = 95.0,
     num_devices: int = 4,
     mix: WorkloadMix = DATACENTER_MIX,
     trace_duration_s: float = 240.0,
     seed: int = 5,
     scheduler: str = "fifo",
-    retain_records: bool = True,
-) -> ServingCapacityResult:
-    """How much offered load each appliance configuration sustains under an SLO.
-
-    Compares the GPU appliance, one DFX cluster, the full 4U host (two DFX
-    clusters), and the heterogeneous fleet (both DFX clusters plus the GPU
-    appliance behind one queue) — the capacity numbers the datacenter
-    operator actually provisions by.  Both appliances come from the
-    backend registry, so the whole study runs through the unified
-    :class:`~repro.backends.base.Backend` protocol.
-
-    The search reads only each probed report's tail percentile and
-    abandonment rate, so ``retain_records=False`` keeps every probe's
-    memory flat (percentiles then come from quantile sketches, within
-    their rank-error bound of the exact search).
-    """
+) -> "repro.dse.ExplorationResult":  # noqa: F821 - forward doc reference
+    """Max offered rate with p95 under ``slo_s`` (``max_rate_per_s``) per
+    ``appliance``: GPU, one DFX cluster, the 4U host's two, and both DFX
+    clusters plus the GPU behind one queue."""
     dfx = make_backend("dfx", config=config, devices=num_devices)
     gpu = make_backend("gpu", config=config, devices=num_devices)
-
-    def trace_builder(rate: float):
-        return poisson_trace(rate, trace_duration_s, mix, seed=seed)
-
-    plans = {
-        "gpu-x1": find_max_rate_under_slo(
-            gpu, trace_builder, slo_s, percentile=percentile,
-            num_clusters=1, platform_name="gpu", scheduler=scheduler,
-            retain_records=retain_records,
-        ),
-        "dfx-x1": find_max_rate_under_slo(
-            dfx, trace_builder, slo_s, percentile=percentile,
-            num_clusters=1, platform_name="dfx", scheduler=scheduler,
-            retain_records=retain_records,
-        ),
-        "dfx-x2": find_max_rate_under_slo(
-            dfx, trace_builder, slo_s, percentile=percentile,
-            num_clusters=2, platform_name="dfx-x2", scheduler=scheduler,
-            retain_records=retain_records,
-        ),
-        "dfx-x2+gpu": fleet_capacity_plan(
-            ApplianceFleet(
-                [
-                    FleetMember("dfx", dfx, num_clusters=2),
-                    FleetMember("gpu", gpu, num_clusters=1),
-                ],
-                scheduler=scheduler,
-                retain_records=retain_records,
-            ),
-            trace_builder,
-            slo_s,
-            percentile=percentile,
-        ),
-    }
-    return ServingCapacityResult(slo_s=slo_s, percentile=percentile, plans=plans)
-
-
-def fleet_capacity_plan(
-    fleet: ApplianceFleet,
-    trace_builder,
-    slo_s: float,
-    *,
-    percentile: float = 95.0,
-    rate_bounds: tuple[float, float] = (0.05, 64.0),
-    relative_tolerance: float = 0.05,
-    max_abandonment_rate: float = 0.0,
-) -> CapacityPlan:
-    """:func:`repro.serving.find_max_rate_under_slo` for a whole fleet."""
-    return capacity_search(
-        fleet.serve,
-        trace_builder,
-        slo_s,
-        platform=fleet.name,
-        scheduler_name=make_scheduler(fleet.scheduler).name,
-        percentile=percentile,
-        rate_bounds=rate_bounds,
-        relative_tolerance=relative_tolerance,
-        max_abandonment_rate=max_abandonment_rate,
+    fleet = (FleetMember("dfx", dfx, num_clusters=2), FleetMember("gpu", gpu, num_clusters=1))
+    return _serving_slice(
+        (),
+        slo_s=slo_s,
+        appliance={
+            "gpu-x1": _one_cluster(gpu, "gpu"),
+            "dfx-x1": _one_cluster(dfx, "dfx"),
+            "dfx-x2": {"platform": dfx, "num_clusters": 2, "platform_name": "dfx-x2"},
+            "dfx-x2+gpu": {"members": fleet},
+        },
+        scheduler=[scheduler],
+        trace={"poisson": partial(poisson_trace, duration_s=trace_duration_s, mix=mix, seed=seed)},
     )
-
-
-# --------------------------------------------------- Serving (fault campaigns)
-@dataclass(frozen=True)
-class FaultCampaignResult:
-    """Schedulers compared across seeded fault campaigns on one appliance.
-
-    ``reports[policy][seed]`` is the serving report of one policy under one
-    seeded (trace, fault-schedule) pair; every policy sees the identical
-    pairs, so differences are pure failover quality.  The aggregate methods
-    average over seeds.
-    """
-
-    policies: tuple[str, ...]
-    seeds: tuple[int, ...]
-    mtbf_s: float
-    mttr_s: float | None
-    reports: dict[str, dict[int, ServingReport]]
-
-    def _mean_over_seeds(self, metric) -> dict[str, float]:
-        return {
-            policy: sum(metric(report) for report in by_seed.values())
-            / len(by_seed)
-            for policy, by_seed in self.reports.items()
-        }
-
-    def mean_availability(self) -> dict[str, float]:
-        """Mean fleet availability over the campaign's seeds, per policy."""
-        return self._mean_over_seeds(lambda r: r.availability)
-
-    def mean_goodput(self) -> dict[str, float]:
-        """Mean completed fraction of offered load, per policy."""
-        return self._mean_over_seeds(lambda r: r.goodput_fraction)
-
-    def mean_failover_delay_s(self) -> dict[str, float]:
-        """Mean kill-to-restart latency of retried requests, per policy."""
-        return self._mean_over_seeds(lambda r: r.mean_failover_delay_s)
-
-    def mean_slo_violation_rate(self) -> dict[str, float]:
-        """Mean SLO-violation rate under failures, per policy."""
-        return self._mean_over_seeds(lambda r: r.slo_violation_rate)
-
-    def total_retries(self) -> dict[str, int]:
-        """Retries spent across all seeds, per policy."""
-        return {
-            policy: sum(report.num_retries for report in by_seed.values())
-            for policy, by_seed in self.reports.items()
-        }
-
-    def total_failed(self) -> dict[str, int]:
-        """Requests lost to faults across all seeds, per policy."""
-        return {
-            policy: sum(report.num_failed for report in by_seed.values())
-            for policy, by_seed in self.reports.items()
-        }
-
-    def best_policy_by_goodput(self) -> str:
-        """Policy completing the largest offered fraction (ties: fewer SLO
-        violations, then faster failover)."""
-        goodput = self.mean_goodput()
-        violations = self.mean_slo_violation_rate()
-        failover = self.mean_failover_delay_s()
-        return min(
-            self.policies,
-            key=lambda p: (-goodput[p], violations[p], failover[p]),
-        )
-
-    def summary_rows(self) -> list[tuple[str, float, float, float, int, int]]:
-        """(policy, availability, goodput, failover_s, retries, failed) rows."""
-        availability = self.mean_availability()
-        goodput = self.mean_goodput()
-        failover = self.mean_failover_delay_s()
-        retries = self.total_retries()
-        failed = self.total_failed()
-        return [
-            (
-                policy,
-                availability[policy],
-                goodput[policy],
-                failover[policy],
-                retries[policy],
-                failed[policy],
-            )
-            for policy in self.policies
-        ]
 
 
 def run_fault_campaign(
@@ -682,127 +463,39 @@ def run_fault_campaign(
     slo_s: float | None = None,
     retry_policy: RetryPolicy | None = None,
     degraded_mode: DegradedModePolicy | None = None,
-    platform_name: str | None = None,
     config: GPT2Config = GPT2_1_5B,
     num_devices: int | None = None,
-    retain_records: bool = True,
-) -> FaultCampaignResult:
-    """Compare schedulers' failover quality across seeded fault campaigns.
-
-    For each seed, one Poisson trace and one Poisson MTBF/MTTR
-    :class:`~repro.serving.faults.FaultSchedule` are drawn (sharing the
-    seed, so the whole campaign is reproducible bit for bit), and every
-    policy serves the identical (trace, schedule) pair.  The default
-    platform is the ``"dfx-4u"`` preset — the paper's 4U host with two DFX
-    clusters, whose unit count flows from the backend's capabilities — so
-    single-unit outages degrade rather than silence the appliance.
-
-    ``slo_s`` tags every request with one response-time objective so the
-    SLO-violation-rate-under-failures column is populated; ``retry_policy``
-    defaults to three attempts with exponential backoff.
+    jobs: int = 1,
+) -> "repro.dse.ExplorationResult":  # noqa: F821 - forward doc reference
+    """Failover quality per (``scheduler``, ``seed``) on the 4U host (``dfx-4u``):
+    each seed's Poisson trace and MTBF/MTTR fault schedule is served by every
+    policy.  ``jobs`` runs candidates in worker processes, identical to serial.
     """
     if not policies:
         raise ConfigurationError("a fault campaign needs at least one policy")
     if not seeds:
         raise ConfigurationError("a fault campaign needs at least one seed")
-    if platform is None:
-        platform = _serving_backend("dfx-4u", config, num_devices)
-        platform_name = platform_name or "dfx-4u"
-    elif isinstance(platform, str):
-        # Resolve once so every policy and seed serves the identical backend.
-        platform = _serving_backend(platform, config, num_devices)
-    if retry_policy is None:
-        retry_policy = RetryPolicy()
-
+    backend = _serving_backend("dfx-4u" if platform is None else platform, config, num_devices)
     scenarios = {}
     for seed in seeds:
         trace = poisson_trace(arrival_rate_per_s, duration_s, mix, seed=seed)
-        if slo_s is not None:
-            trace = with_service_levels(trace, slo_s=slo_s)
-        faults = FaultSchedule.poisson(mtbf_s, mttr_s, duration_s, seed=seed)
-        scenarios[seed] = (trace, faults)
-
-    reports: dict[str, dict[int, ServingReport]] = {}
-    for policy in policies:
-        by_seed: dict[int, ServingReport] = {}
-        for seed, (trace, faults) in scenarios.items():
-            server = ApplianceServer(
-                platform,
-                num_clusters=num_clusters,
-                platform_name=platform_name,
-                scheduler=policy,
-                faults=faults,
-                retry_policy=retry_policy,
-                degraded_mode=degraded_mode,
-                retain_records=retain_records,
-            )
-            by_seed[seed] = server.serve(trace)
-        reports[policy] = by_seed
-    return FaultCampaignResult(
-        policies=tuple(policies),
-        seeds=tuple(seeds),
-        mtbf_s=mtbf_s,
-        mttr_s=mttr_s,
-        reports=reports,
+        scenarios[str(seed)] = {
+            "trace": trace if slo_s is None else with_service_levels(trace, slo_s=slo_s),
+            "faults": FaultSchedule.poisson(mtbf_s, mttr_s, duration_s, seed=seed),
+        }
+    return _serving_slice(
+        ("availability", "goodput_fraction", "mean_failover_delay_s",
+         "slo_violation_rate", "num_retries", "num_failed"),
+        jobs=jobs,
+        appliance={backend.name: {
+            "platform": backend,
+            "num_clusters": num_clusters,
+            "retry_policy": RetryPolicy() if retry_policy is None else retry_policy,
+            "degraded_mode": degraded_mode,
+        }},
+        scheduler=policies,
+        seed=scenarios,
     )
-
-
-# --------------------------------------------------- Serving (fleet topology)
-@dataclass(frozen=True)
-class FleetTopologyResult:
-    """One trace served by a multi-rack fleet, with and without network cost.
-
-    ``priced`` is the report under the real link parameters; ``baseline``
-    is the identical fleet and trace under a zero-cost network (bit-identical
-    to no network at all), so every difference between the two reports is
-    the network's doing.
-    """
-
-    racks: int
-    appliances_per_rack: int
-    link: NetworkLink
-    priced: ServingReport
-    baseline: ServingReport
-
-    @property
-    def cross_rack_p99_s(self) -> float:
-        """p99 response time of cross-rack-served requests under the network."""
-        return self.priced.cross_rack_response_percentile_s(99.0)
-
-    @property
-    def baseline_cross_rack_p99_s(self) -> float:
-        """Same members' p99 under the zero-cost network."""
-        return self.baseline.cross_rack_response_percentile_s(99.0)
-
-    @property
-    def cross_rack_latency_tax_s(self) -> float:
-        """How much the wire added to the cross-rack p99."""
-        return self.cross_rack_p99_s - self.baseline_cross_rack_p99_s
-
-    def summary_rows(self) -> list[tuple[str, float, float]]:
-        """(metric, priced, zero-cost-baseline) rows for printing."""
-        return [
-            (
-                "p99 response (s)",
-                self.priced.response_time_percentile_s(99.0),
-                self.baseline.response_time_percentile_s(99.0),
-            ),
-            (
-                "cross-rack p99 (s)",
-                self.cross_rack_p99_s,
-                self.baseline_cross_rack_p99_s,
-            ),
-            (
-                "mean transfer (s)",
-                self.priced.mean_transfer_time_s,
-                self.baseline.mean_transfer_time_s,
-            ),
-            (
-                "cross-rack dispatch fraction",
-                self.priced.cross_rack_dispatch_fraction,
-                self.baseline.cross_rack_dispatch_fraction,
-            ),
-        ]
 
 
 def run_fleet_topology_plan(
@@ -820,110 +513,28 @@ def run_fleet_topology_plan(
     link_latency_s: float = 0.05,
     link_bandwidth_bytes_per_s: float | None = 1.25e9,
     bytes_per_token: float = 4.0,
-    retain_records: bool = True,
-) -> FleetTopologyResult:
-    """Serve one region's traffic on ``racks`` × ``appliances_per_rack``.
-
-    Builds a star topology — requests arrive at ``rack0`` and every other
-    rack hangs off it by one link with ``link_latency_s`` propagation delay
-    and ``link_bandwidth_bytes_per_s`` payload bandwidth (``None`` = free
-    serialization) — then serves the identical trace twice: once under
-    those link parameters and once under a zero-cost network.  The result's
-    ``cross_rack_latency_tax_s`` is the wire's contribution to the
-    off-rack p99, the number a region planner trades against rack count.
-    """
-    if racks < 1:
-        raise ConfigurationError("a topology plan needs at least one rack")
+) -> "repro.dse.ExplorationResult":  # noqa: F821 - forward doc reference
+    """One trace on a star of ``racks`` x ``appliances_per_rack`` hosts (ingress
+    ``rack0``) under a ``priced`` and a ``zero-cost`` ``network``: the gap in
+    their ``cross_rack_p99_s`` is the wire's latency tax."""
     if appliances_per_rack < 1:
         raise ConfigurationError("appliances_per_rack must be positive")
-    if isinstance(backend, str):
-        backend = _serving_backend(backend, config, num_devices)
-    members = [
-        FleetMember(f"rack{rack}-host{host}", backend)
-        for rack in range(racks)
-        for host in range(appliances_per_rack)
-    ]
-    placement = {
-        f"rack{rack}": tuple(
-            f"rack{rack}-host{host}" for host in range(appliances_per_rack)
-        )
-        for rack in range(racks)
-    }
-    link = NetworkLink(
-        latency_s=link_latency_s,
-        bandwidth_bytes_per_s=link_bandwidth_bytes_per_s,
+    resolved = _serving_backend(backend, config, num_devices)
+    members, placement = rack_fleet(
+        [FleetMember(f"host{host}", resolved) for host in range(appliances_per_rack)], racks
     )
-    trace = poisson_trace(arrival_rate_per_s, duration_s, mix, seed=seed)
-    reports = {}
-    for label, topology_link in (("priced", link), ("baseline", NetworkLink())):
-        fleet = ApplianceFleet(
-            members,
-            scheduler=scheduler,
-            network=NetworkModel.star(
-                placement,
-                ingress="rack0",
-                link=topology_link,
-                bytes_per_token=bytes_per_token,
-            ),
-            retain_records=retain_records,
-        )
-        reports[label] = fleet.serve(trace)
-    return FleetTopologyResult(
-        racks=racks,
-        appliances_per_rack=appliances_per_rack,
-        link=link,
-        priced=reports["priced"],
-        baseline=reports["baseline"],
+    link = NetworkLink(latency_s=link_latency_s, bandwidth_bytes_per_s=link_bandwidth_bytes_per_s)
+    return _serving_slice(
+        ("p99_response_s", "cross_rack_p99_s", "mean_transfer_s", "cross_rack_fraction"),
+        fleet={f"{racks}x{appliances_per_rack}": {"members": members, "scheduler": scheduler}},
+        trace={"poisson": poisson_trace(arrival_rate_per_s, duration_s, mix, seed=seed)},
+        network={
+            label: NetworkModel.star(
+                placement, ingress="rack0", link=level, bytes_per_token=bytes_per_token
+            )
+            for label, level in (("priced", link), ("zero-cost", NetworkLink()))
+        },
     )
-
-
-# ------------------------------------------------- Serving (batching tradeoff)
-@dataclass(frozen=True)
-class BatchingComparisonResult:
-    """The paper's latency-vs-throughput tradeoff (Sec. III-A), played out.
-
-    The same configurations serve two traces: a sparse Poisson trace
-    (``low_load``, the latency-bound regime datacenters actually run text
-    generation in) and a bursty high-rate trace (``high_load``, where the
-    GPU only keeps up once batches form).  Labels map configuration name
-    to its serving report.
-    """
-
-    low_load: dict[str, ServingReport]
-    high_load: dict[str, ServingReport]
-    percentile: float
-
-    def low_load_tail_latency_s(self) -> dict[str, float]:
-        """Tail response time per configuration on the low-load trace."""
-        return {
-            label: report.response_time_percentile_s(self.percentile)
-            for label, report in self.low_load.items()
-        }
-
-    def high_load_tokens_per_second(self) -> dict[str, float]:
-        """Sustained generated-token throughput on the bursty high-load trace."""
-        return {
-            label: report.output_tokens_per_second
-            for label, report in self.high_load.items()
-        }
-
-    @property
-    def dfx_wins_low_load_latency(self) -> bool:
-        """Unbatched DFX beats every batched GPU config on low-load tail latency."""
-        tails = self.low_load_tail_latency_s()
-        return all(
-            tails["dfx-unbatched"] < tail
-            for label, tail in tails.items()
-            if label.startswith("gpu")
-        )
-
-    @property
-    def gpu_batching_throughput_gain(self) -> float:
-        """Bursty-trace throughput of the dynamically batched GPU vs unbatched."""
-        rates = self.high_load_tokens_per_second()
-        if rates["gpu-unbatched"] <= 0:
-            return float("inf")
-        return rates["gpu-dynamic"] / rates["gpu-unbatched"]
 
 
 def run_batching_comparison(
@@ -939,113 +550,38 @@ def run_batching_comparison(
     mean_idle_s: float = 10.0,
     max_batch_size: int = 8,
     batch_timeout_s: float = 2.0,
-    percentile: float = 99.0,
     seed: int = 13,
     dfx_backend: str | Backend = "dfx",
     gpu_backend: str | Backend = "gpu",
-) -> BatchingComparisonResult:
-    """Serve low-load Poisson and high-load bursty traces across batch regimes.
-
-    Configurations: one DFX cluster unbatched (the paper's serving mode),
-    and one GPU appliance unbatched, under size-or-timeout dynamic
-    batching, and under the continuous-batching approximation.  The
-    expected outcome is the paper's argument in numbers: DFX wins tail
-    latency at low load (no batch to gather, faster per request), while
-    the GPU fleet only reaches competitive throughput on the bursty trace
-    once dynamic batching amortizes its kernel overhead.
-
-    ``dfx_backend`` / ``gpu_backend`` name (or directly provide) the two
-    backends, so the same study runs against e.g. the functional-sim
-    runtime or a custom-registered platform; batch pricing flows through
-    the backend-generic :class:`~repro.serving.BackendBatchCostModel`.
-    """
+) -> "repro.dse.ExplorationResult":  # noqa: F821 - forward doc reference
+    """The Sec. III-A tradeoff: unbatched DFX and a GPU unbatched, dynamically
+    and continuously batched (``regime``), on sparse Poisson (``trace=low``)
+    and bursty (``trace=high``) traffic."""
     dfx = _serving_backend(dfx_backend, config, num_devices)
     gpu = _serving_backend(gpu_backend, config, num_devices)
-    low_trace = poisson_trace(low_rate_per_s, duration_s, mix, seed=seed)
-    high_trace = bursty_trace(
-        burst_rate_per_s,
-        idle_rate_per_s,
-        duration_s,
-        mean_burst_s=mean_burst_s,
-        mean_idle_s=mean_idle_s,
-        mix=mix,
-        seed=seed,
+    return _serving_slice(
+        ("p99_response_s", "output_tokens_per_s", "mean_batch_size",
+         "mean_gather_delay_s", "utilization", "num_offered"),
+        trace={
+            "low": poisson_trace(low_rate_per_s, duration_s, mix, seed=seed),
+            "high": bursty_trace(
+                burst_rate_per_s, idle_rate_per_s, duration_s, mean_burst_s=mean_burst_s,
+                mean_idle_s=mean_idle_s, mix=mix, seed=seed,
+            ),
+        },
+        regime={
+            "dfx-unbatched": _one_cluster(dfx, "dfx"),
+            "gpu-unbatched": _one_cluster(gpu, "gpu"),
+            "gpu-dynamic": _one_cluster(
+                gpu, "gpu", batch_policy=DynamicBatching(max_batch_size, batch_timeout_s),
+                max_batch_size=max_batch_size,
+            ),
+            "gpu-continuous": _one_cluster(
+                gpu, "gpu", batch_policy=ContinuousBatching(max_batch_size),
+                max_batch_size=max_batch_size,
+            ),
+        },
     )
-    servers = {
-        "dfx-unbatched": ApplianceServer(dfx, 1, "dfx"),
-        "gpu-unbatched": ApplianceServer(gpu, 1, "gpu"),
-        "gpu-dynamic": ApplianceServer(
-            gpu, 1, "gpu",
-            batch_policy=DynamicBatching(max_batch_size, batch_timeout_s),
-            max_batch_size=max_batch_size,
-        ),
-        "gpu-continuous": ApplianceServer(
-            gpu, 1, "gpu",
-            batch_policy=ContinuousBatching(max_batch_size),
-            max_batch_size=max_batch_size,
-        ),
-    }
-    return BatchingComparisonResult(
-        low_load={label: server.serve(low_trace) for label, server in servers.items()},
-        high_load={label: server.serve(high_trace) for label, server in servers.items()},
-        percentile=percentile,
-    )
-
-
-# -------------------------------------------- Serving (batch capacity study)
-@dataclass(frozen=True)
-class BatchCapacitySweepResult:
-    """Batch-aware capacity planning: max SLO-compliant rate per batch size.
-
-    ``plans`` maps each swept ``max_batch_size`` to its
-    :class:`~repro.serving.CapacityPlan` (batch size 1 is the unbatched
-    baseline).  The sweep answers the operator's sizing question behind
-    Sec. III-A: how much extra offered load does each step of batching buy
-    while the tail still meets the SLO?
-    """
-
-    backend: str
-    slo_s: float
-    percentile: float
-    batch_timeout_s: float
-    plans: dict[int, CapacityPlan]
-
-    def capacities_per_hour(self) -> dict[int, float]:
-        """Max offered load (requests/hour) meeting the SLO, per batch size."""
-        return {
-            size: plan.max_requests_per_hour for size, plan in self.plans.items()
-        }
-
-    def best_batch_size(self) -> int:
-        """The swept batch size sustaining the highest SLO-compliant rate.
-
-        Ties break toward the smaller batch (less gather latency for the
-        same capacity).
-        """
-        return min(
-            self.plans,
-            key=lambda size: (-self.plans[size].max_rate_per_s, size),
-        )
-
-    @property
-    def batching_capacity_gain(self) -> float:
-        """Capacity of the best batch size relative to the unbatched baseline.
-
-        Uses the same winner as :meth:`best_batch_size`, so the two always
-        tell one story: exactly 1.0 when unbatched serving wins the sweep.
-        Requires batch size 1 in the sweep; infinite when the unbatched
-        configuration cannot meet the SLO at any probed rate but a batched
-        one can.
-        """
-        if 1 not in self.plans:
-            raise ConfigurationError(
-                "batching_capacity_gain needs batch size 1 in the sweep"
-            )
-        best = self.plans[self.best_batch_size()].max_rate_per_s
-        baseline = self.plans[1].max_rate_per_s
-        if baseline <= 0:
-            return float("inf") if best > 0 else 0.0
-        return best / baseline
 
 
 def run_batch_capacity_sweep(
@@ -1055,7 +591,6 @@ def run_batch_capacity_sweep(
     num_devices: int = 4,
     batch_sizes: tuple[int, ...] = (1, 2, 4, 8),
     slo_s: float = 30.0,
-    percentile: float = 95.0,
     batch_timeout_s: float = 1.0,
     num_clusters: int = 1,
     scheduler: str = "fifo",
@@ -1063,49 +598,29 @@ def run_batch_capacity_sweep(
     trace_duration_s: float = 120.0,
     seed: int = 7,
     rate_bounds: tuple[float, float] = (0.05, 32.0),
-) -> BatchCapacitySweepResult:
-    """Sweep ``max_batch_size`` against a tail SLO via capacity search.
-
-    For each batch size the driver runs
-    :func:`~repro.serving.find_max_rate_under_slo` under size-or-timeout
-    dynamic batching (size 1 is the unbatched baseline) on the same
-    deterministic Poisson trace family, producing the batch-aware capacity
-    plan the ROADMAP's serving studies call for.  ``backend`` is a
-    registry name or a backend instance; it must support batching for
-    sizes above 1.
-    """
+) -> "repro.dse.ExplorationResult":  # noqa: F821 - forward doc reference
+    """Max rate with p95 under ``slo_s`` (and ``mean_batch_size`` there) per
+    ``batch`` size under dynamic batching; size 1 is the unbatched baseline."""
     if not batch_sizes:
         raise ConfigurationError("batch_sizes must be non-empty")
     if any(size < 1 for size in batch_sizes):
         raise ConfigurationError("batch sizes must be >= 1")
     resolved = _serving_backend(backend, config, num_devices)
-
-    def trace_builder(rate: float):
-        return poisson_trace(rate, trace_duration_s, mix, seed=seed)
-
-    plans: dict[int, CapacityPlan] = {}
-    for size in batch_sizes:
-        batch_policy = (
-            "none" if size == 1 else DynamicBatching(size, batch_timeout_s)
-        )
-        plans[size] = find_max_rate_under_slo(
-            resolved,
-            trace_builder,
-            slo_s,
-            percentile=percentile,
-            num_clusters=num_clusters,
-            platform_name=f"{resolved.name}-batch{size}",
-            scheduler=scheduler,
-            batch_policy=batch_policy,
-            max_batch_size=size,
-            rate_bounds=rate_bounds,
-        )
-    return BatchCapacitySweepResult(
-        backend=resolved.name,
+    return _serving_slice(
+        ("mean_batch_size",),
         slo_s=slo_s,
-        percentile=percentile,
-        batch_timeout_s=batch_timeout_s,
-        plans=plans,
+        rate_bounds=rate_bounds,
+        appliance={resolved.name: {"platform": resolved, "num_clusters": num_clusters}},
+        scheduler=[scheduler],
+        trace={"poisson": partial(poisson_trace, duration_s=trace_duration_s, mix=mix, seed=seed)},
+        batch={
+            str(size): {
+                "batch_policy": "none" if size == 1 else DynamicBatching(size, batch_timeout_s),
+                "max_batch_size": size,
+                "platform_name": f"{resolved.name}-batch{size}",
+            }
+            for size in batch_sizes
+        },
     )
 
 

@@ -12,7 +12,6 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.analysis.metrics import ComparisonRow
 from repro.dse.objectives import EvaluatedCandidate, Objective, ObjectiveVector
 from repro.dse.pareto import FrontMember, ParetoFront
 from repro.dse.space import Candidate, SearchSpace
@@ -58,29 +57,6 @@ def result_to_dict(result: InferenceResult) -> dict[str, Any]:
         "tokens_per_joule": result.tokens_per_joule,
         "flops": result.flops,
         "gflops": result.gflops,
-    }
-
-
-def comparison_to_dict(row: ComparisonRow) -> dict[str, Any]:
-    """Serialize one baseline-vs-DFX comparison row."""
-    return {
-        "workload": workload_to_dict(row.workload),
-        "baseline": result_to_dict(row.baseline),
-        "dfx": result_to_dict(row.dfx),
-        "speedup": row.speedup,
-        "throughput_ratio": row.throughput_ratio,
-        "energy_efficiency_ratio": row.energy_efficiency_ratio,
-    }
-
-
-def comparison_grid_to_dict(rows: list[ComparisonRow]) -> dict[str, Any]:
-    """Serialize a whole comparison grid plus its aggregate ratios."""
-    from repro.analysis.metrics import average_speedup, average_throughput_ratio
-
-    return {
-        "rows": [comparison_to_dict(row) for row in rows],
-        "average_speedup": average_speedup(rows),
-        "average_throughput_ratio": average_throughput_ratio(rows),
     }
 
 

@@ -86,14 +86,6 @@ def average_speedup(rows: list[ComparisonRow]) -> float:
     return baseline_avg / dfx_avg
 
 
-def geometric_mean_speedup(rows: list[ComparisonRow]) -> float:
-    """Geometric mean of per-workload speedups (robustness check)."""
-    if not rows:
-        return 0.0
-    log_sum = sum(math.log(row.speedup) for row in rows if row.speedup > 0)
-    return math.exp(log_sum / len(rows))
-
-
 def average_throughput_tokens_per_second(results: list[InferenceResult]) -> float:
     """Mean tokens/s over a set of results (Fig. 16 left panel, "Average")."""
     if not results:

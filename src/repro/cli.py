@@ -83,6 +83,7 @@ from repro.serving import (
     bursty_trace,
     diurnal_trace,
     poisson_trace,
+    rack_fleet,
     replay_trace,
 )
 from repro.serving.batching import BATCH_POLICIES
@@ -411,18 +412,12 @@ def _command_serve(args: argparse.Namespace) -> int:
                   f"(e.g. 2x2), got {args.topology!r}", file=sys.stderr)
             return 2
         bandwidth = args.link_gbps * 1e9 / 8.0 if args.link_gbps > 0 else None
-        members = [
-            FleetMember(f"rack{rack}-host{host}", backend)
-            for rack in range(racks)
-            for host in range(per_rack)
-        ]
+        members, placement = rack_fleet(
+            [FleetMember(f"host{host}", backend) for host in range(per_rack)],
+            racks,
+        )
         network = NetworkModel.star(
-            {
-                f"rack{rack}": tuple(
-                    f"rack{rack}-host{host}" for host in range(per_rack)
-                )
-                for rack in range(racks)
-            },
+            placement,
             ingress="rack0",
             link=NetworkLink(
                 latency_s=args.link_latency_s,

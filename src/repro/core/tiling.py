@@ -122,41 +122,3 @@ def design_space_mha_sweep(
         (d, l): multi_head_attention_gflops(TilingConfig(d, l), config, kv_length)
         for d, l in TILE_DESIGN_POINTS
     }
-
-
-@dataclass(frozen=True)
-class LoadingDirection:
-    """Weight loading direction trade-off (paper Fig. 9).
-
-    The horizontal direction maximizes input reuse but needs one partial-sum
-    buffer per output column; the vertical direction needs a single buffer but
-    no input reuse; DFX's zigzag over ``d x d`` blocks balances both.
-    """
-
-    name: str
-    partial_sum_buffers: int
-    input_reuse_factor: float
-
-
-def loading_direction_tradeoffs(
-    tiling: TilingConfig, config: GPT2Config
-) -> tuple[LoadingDirection, ...]:
-    """Buffer-count / reuse comparison of the three loading directions."""
-    emb = config.n_embd
-    return (
-        LoadingDirection(
-            name="horizontal",
-            partial_sum_buffers=math.ceil(emb / tiling.l),
-            input_reuse_factor=emb / tiling.d,
-        ),
-        LoadingDirection(
-            name="vertical",
-            partial_sum_buffers=1,
-            input_reuse_factor=1.0,
-        ),
-        LoadingDirection(
-            name="zigzag",
-            partial_sum_buffers=math.ceil(tiling.d / tiling.l),
-            input_reuse_factor=tiling.d / tiling.l,
-        ),
-    )

@@ -19,9 +19,11 @@ Layers, bottom up:
   (``--jobs N`` bit-identical to serial; JSON persistence per candidate).
 * :mod:`repro.dse.engine` — the search loop and the
   :func:`factorial_search` / :func:`evolutionary_search` entry points.
-* :mod:`repro.dse.appliance` / :mod:`repro.dse.figure8` — the two built-in
-  evaluators: the four-objective appliance scorer and the Fig. 8 tile
-  sweep re-expressed as a factorial slice.
+* :mod:`repro.dse.appliance` / :mod:`repro.dse.figure8` /
+  :mod:`repro.dse.serving` — the built-in evaluators: the four-objective
+  appliance scorer, the Fig. 8 tile sweep re-expressed as a factorial
+  slice, and the report-metrics evaluator behind every serving study in
+  :mod:`repro.analysis.experiments`.
 """
 
 from repro.dse.appliance import (
@@ -62,11 +64,13 @@ from repro.dse.pareto import (
     pareto_front,
 )
 from repro.dse.pool import EvaluationPool, candidate_seed, result_filename
+from repro.dse.serving import REPORT_METRICS, ServingEvaluator
 from repro.dse.space import KEY_SEPARATOR, Candidate, Dimension, SearchSpace
 
 __all__ = [
     "KEY_SEPARATOR",
     "SENSES",
+    "REPORT_METRICS",
     "DEVICE_UNIT_PRICE_USD",
     "FIGURE8_OBJECTIVES",
     "Candidate",
@@ -83,6 +87,7 @@ __all__ = [
     "ObjectiveVector",
     "ParetoFront",
     "SearchSpace",
+    "ServingEvaluator",
     "ApplianceEvaluator",
     "TilingEvaluator",
     "appliance_search_space",

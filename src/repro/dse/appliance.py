@@ -262,7 +262,7 @@ class ApplianceEvaluator:
         batch: int,
         racks: int,
     ) -> float:
-        from repro.serving.fleet import ApplianceFleet, FleetMember
+        from repro.serving.fleet import ApplianceFleet, FleetMember, rack_fleet
         from repro.serving.network import NetworkModel
         from repro.serving.server import ApplianceServer
 
@@ -283,22 +283,18 @@ class ApplianceEvaluator:
             )
             report = server.serve(trace)
         else:
-            members = []
-            placement: dict[str, list[str]] = {}
-            for rack in range(racks):
-                rack_name = f"rack{rack}"
-                placement[rack_name] = []
-                for instance in instances:
-                    member_name = f"{rack_name}-{instance.backend_name}"
-                    members.append(
-                        FleetMember(
-                            name=member_name,
-                            platform=instance.backend,
-                            num_clusters=instance.units,
-                            max_batch_size=batch,
-                        )
+            members, placement = rack_fleet(
+                [
+                    FleetMember(
+                        name=instance.backend_name,
+                        platform=instance.backend,
+                        num_clusters=instance.units,
+                        max_batch_size=batch,
                     )
-                    placement[rack_name].append(member_name)
+                    for instance in instances
+                ],
+                racks,
+            )
             network = (
                 NetworkModel.star(placement) if racks > 1 else None
             )

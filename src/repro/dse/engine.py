@@ -21,6 +21,7 @@ from repro.dse.objectives import EvaluatedCandidate, Evaluator, Objective
 from repro.dse.pareto import ParetoFront, pareto_front
 from repro.dse.pool import EvaluationPool
 from repro.dse.space import SearchSpace
+from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,27 @@ class ExplorationResult:
         for entry in self.evaluated:
             if entry.key == key:
                 return entry
-        from repro.errors import ConfigurationError
-
         raise ConfigurationError(f"no evaluation with key {key!r}")
+
+    def table(self) -> dict[str, dict[str, float]]:
+        """Candidate key -> objective name -> value (feasible candidates)."""
+        return {e.key: e.vector.as_dict() for e in self.evaluated if e.vector is not None}
+
+    def value(self, objective: str, **labels: object) -> float:
+        """``objective`` of the one candidate whose labels include ``labels``
+        (dimensions that do not tell candidates apart may be left out)."""
+        matches = [
+            entry for entry in self.evaluated
+            if all(entry.candidate.label_map().get(name) == str(label)
+                   for name, label in labels.items())
+        ]
+        if len(matches) != 1:
+            raise ConfigurationError(f"labels {labels} match {len(matches)} candidates, not one")
+        if matches[0].vector is None:
+            raise ConfigurationError(
+                f"candidate {matches[0].key!r} is infeasible: {matches[0].infeasible_reason}"
+            )
+        return matches[0].vector.value(objective)
 
 
 def run_search(

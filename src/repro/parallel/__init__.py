@@ -19,7 +19,6 @@ from repro.parallel.pipeline import (
     PipelinePlan,
     PipelineStage,
     build_pipeline_plan,
-    intra_layer_token_latency_ms,
     pipelined_token_latency_ms,
 )
 
@@ -37,6 +36,5 @@ __all__ = [
     "PipelinePlan",
     "PipelineStage",
     "build_pipeline_plan",
-    "intra_layer_token_latency_ms",
     "pipelined_token_latency_ms",
 ]

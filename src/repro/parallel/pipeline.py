@@ -83,21 +83,3 @@ def pipelined_token_latency_ms(
         config.n_layer * single_device_layer_latency_ms
         + transfers * inter_stage_transfer_ms
     )
-
-
-def intra_layer_token_latency_ms(
-    single_device_layer_latency_ms: float,
-    config: GPT2Config,
-    num_devices: int,
-    sync_latency_ms: float,
-    syncs_per_layer: int = 4,
-) -> float:
-    """Per-token latency under intra-layer parallelism (idealized).
-
-    Matrix work divides by the device count; each layer pays the four ring
-    synchronizations.  Used only for the parallelism-scheme ablation; the real
-    DFX latency comes from the instruction-level simulator.
-    """
-    parallel_layer = single_device_layer_latency_ms / num_devices
-    sync_overhead = syncs_per_layer * sync_latency_ms if num_devices > 1 else 0.0
-    return config.n_layer * (parallel_layer + sync_overhead)

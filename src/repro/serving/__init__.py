@@ -13,7 +13,7 @@ Layout (see the module docstrings for details):
   generators plus ``replay_trace`` for recorded CSV/JSONL logs), workload
   mixes, and service-level tagging.
 * ``server``     — latency oracle, reports, ``ApplianceServer`` front end,
-  ``saturation_sweep`` and ``find_max_rate_under_slo`` capacity planning.
+  ``capacity_search`` / ``find_max_rate_under_slo`` capacity planning.
 * ``simulator``  — the discrete-event core shared by appliance and fleet.
 * ``schedulers`` — pluggable dispatch policies (FIFO / SJF / priority /
   deadline / shape-aware batch gathering); subclass ``SchedulingPolicy``
@@ -22,7 +22,8 @@ Layout (see the module docstrings for details):
   continuous decode slots, re-priced on occupancy change by default) and
   the backend-generic ``BackendBatchCostModel``; subclass
   ``BatchFormationPolicy`` and register in ``BATCH_POLICIES`` to add one.
-* ``fleet``      — heterogeneous multi-appliance serving behind one queue.
+* ``fleet``      — heterogeneous multi-appliance serving behind one queue;
+  ``rack_fleet`` replicates a member set into racks.
 * ``faults``     — fault injection and degraded-mode serving: seeded
   ``FaultSchedule`` campaigns (scripted outages, Poisson MTBF/MTTR
   processes, link degradation), ``RetryPolicy`` for killed in-flight
@@ -83,7 +84,6 @@ from repro.serving.server import (
     ServingReport,
     capacity_search,
     find_max_rate_under_slo,
-    saturation_sweep,
 )
 from repro.serving.network import NetworkLink, NetworkModel
 from repro.serving.schedulers import (
@@ -97,7 +97,7 @@ from repro.serving.schedulers import (
     make_scheduler,
 )
 from repro.serving.simulator import ABANDON_UNSERVED, ServerUnit, simulate
-from repro.serving.fleet import ApplianceFleet, FleetMember
+from repro.serving.fleet import ApplianceFleet, FleetMember, rack_fleet
 
 __all__ = [
     "ARTICLE_MIX",
@@ -144,7 +144,6 @@ __all__ = [
     "ServingReport",
     "capacity_search",
     "find_max_rate_under_slo",
-    "saturation_sweep",
     "NetworkLink",
     "NetworkModel",
     "SCHEDULERS",
@@ -159,4 +158,5 @@ __all__ = [
     "simulate",
     "ApplianceFleet",
     "FleetMember",
+    "rack_fleet",
 ]

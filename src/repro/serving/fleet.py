@@ -27,7 +27,8 @@ into each dispatch, so routing becomes network-aware (see ``network.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from repro.backends import Backend, make_backend
 from repro.errors import ConfigurationError
@@ -200,3 +201,26 @@ class ApplianceFleet:
             network=self.network,
             retain_records=self.retain_records,
         )
+
+
+def rack_fleet(
+    template: Sequence[FleetMember], racks: int
+) -> tuple[tuple[FleetMember, ...], dict[str, tuple[str, ...]]]:
+    """Replicate ``template`` into racks ``rack0`` .. ``rack{racks-1}``.
+
+    Each rack's copy of a template member is named ``rack{r}-{name}``.
+    Returns the members (rack-major) and the rack -> member-names
+    placement that :meth:`~repro.serving.network.NetworkModel.star` takes.
+    """
+    if racks < 1:
+        raise ConfigurationError("racks must be >= 1")
+    members = tuple(
+        replace(member, name=f"rack{rack}-{member.name}")
+        for rack in range(racks)
+        for member in template
+    )
+    placement = {
+        f"rack{rack}": tuple(f"rack{rack}-{member.name}" for member in template)
+        for rack in range(racks)
+    }
+    return members, placement

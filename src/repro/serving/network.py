@@ -34,6 +34,7 @@ equivalence-tested in the property suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -57,14 +58,17 @@ class NetworkLink:
     bandwidth_bytes_per_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.latency_s < 0:
-            raise ConfigurationError("link latency_s must be non-negative")
-        if (
-            self.bandwidth_bytes_per_s is not None
-            and self.bandwidth_bytes_per_s <= 0
+        # Chained comparisons are False for NaN, so NaN is rejected too.
+        if not 0 <= self.latency_s < math.inf:
+            raise ConfigurationError(
+                "link latency_s must be non-negative and finite"
+            )
+        if self.bandwidth_bytes_per_s is not None and not (
+            0 < self.bandwidth_bytes_per_s < math.inf
         ):
             raise ConfigurationError(
-                "link bandwidth_bytes_per_s must be positive (None = free)"
+                "link bandwidth_bytes_per_s must be positive and finite "
+                "(None = free)"
             )
 
     @property
@@ -119,8 +123,10 @@ class NetworkModel:
                 f"ingress rack {self.ingress!r} is not a rack; "
                 f"racks: {sorted(self.racks)}"
             )
-        if self.bytes_per_token < 0:
-            raise ConfigurationError("bytes_per_token must be non-negative")
+        if not 0 <= self.bytes_per_token < math.inf:
+            raise ConfigurationError(
+                "bytes_per_token must be non-negative and finite"
+            )
         placement: dict[str, str] = {}
         for rack, members in self.racks.items():
             if not rack:

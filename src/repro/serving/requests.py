@@ -170,6 +170,19 @@ DATACENTER_MIX = WorkloadMix(
 )
 
 
+def _check_positive(name: str, value: float) -> None:
+    # Chained comparisons are False for NaN, so NaN is rejected too.
+    if not 0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_non_negative(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:
+        raise ConfigurationError(
+            f"{name} must be non-negative and finite, got {value!r}"
+        )
+
+
 def _check_limit(limit: int | None) -> None:
     if limit is not None and limit <= 0:
         raise ConfigurationError("limit must be positive when given")
@@ -200,10 +213,8 @@ def poisson_trace(
     Returns:
         Requests sorted by arrival time, all arriving within ``duration_s``.
     """
-    if arrival_rate_per_s <= 0:
-        raise ConfigurationError("arrival_rate_per_s must be positive")
-    if duration_s <= 0:
-        raise ConfigurationError("duration_s must be positive")
+    _check_positive("arrival_rate_per_s", arrival_rate_per_s)
+    _check_positive("duration_s", duration_s)
     _check_limit(limit)
 
     def generate() -> Iterator[ServiceRequest]:
@@ -238,12 +249,10 @@ def constant_trace(
     list (``num_requests`` already bounds the trace, so there is no
     separate ``limit``).
     """
-    if interarrival_s < 0:
-        raise ConfigurationError("interarrival_s must be non-negative")
+    _check_non_negative("interarrival_s", interarrival_s)
     if num_requests <= 0:
         raise ConfigurationError("num_requests must be positive")
-    if start_time_s < 0:
-        raise ConfigurationError("start_time_s must be non-negative")
+    _check_non_negative("start_time_s", start_time_s)
     requests = (
         ServiceRequest(
             request_id=i,
@@ -295,18 +304,15 @@ def bursty_trace(
         compatible with :func:`with_service_levels` and :func:`merge_traces`
         like every other trace builder.
     """
-    if burst_rate_per_s <= 0:
-        raise ConfigurationError("burst_rate_per_s must be positive")
-    if idle_rate_per_s < 0:
-        raise ConfigurationError("idle_rate_per_s must be non-negative")
+    _check_positive("burst_rate_per_s", burst_rate_per_s)
+    _check_non_negative("idle_rate_per_s", idle_rate_per_s)
     if burst_rate_per_s <= idle_rate_per_s:
         raise ConfigurationError(
             "burst_rate_per_s must exceed idle_rate_per_s (on-off separation)"
         )
-    if duration_s <= 0:
-        raise ConfigurationError("duration_s must be positive")
-    if mean_burst_s <= 0 or mean_idle_s <= 0:
-        raise ConfigurationError("phase lengths must be positive")
+    _check_positive("duration_s", duration_s)
+    _check_positive("mean_burst_s", mean_burst_s)
+    _check_positive("mean_idle_s", mean_idle_s)
     _check_limit(limit)
 
     def generate() -> Iterator[ServiceRequest]:
@@ -381,20 +387,18 @@ def diurnal_trace(
         compatible with :func:`with_service_levels` and :func:`merge_traces`
         like every other trace builder.
     """
-    if peak_rate_per_s <= 0:
-        raise ConfigurationError("peak_rate_per_s must be positive")
+    _check_positive("peak_rate_per_s", peak_rate_per_s)
     if trough_rate_per_s is None:
         trough_rate_per_s = peak_rate_per_s / 10.0
-    if trough_rate_per_s < 0:
-        raise ConfigurationError("trough_rate_per_s must be non-negative")
+    _check_non_negative("trough_rate_per_s", trough_rate_per_s)
     if trough_rate_per_s > peak_rate_per_s:
         raise ConfigurationError(
             "trough_rate_per_s must not exceed peak_rate_per_s"
         )
-    if duration_s <= 0:
-        raise ConfigurationError("duration_s must be positive")
-    if period_s <= 0:
-        raise ConfigurationError("period_s must be positive")
+    _check_positive("duration_s", duration_s)
+    _check_positive("period_s", period_s)
+    if not math.isfinite(phase_s):
+        raise ConfigurationError(f"phase_s must be finite, got {phase_s!r}")
     _check_limit(limit)
 
     def rate_at(time_s: float) -> float:

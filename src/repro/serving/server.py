@@ -6,7 +6,7 @@ The serving subsystem is split across four modules:
   outcome records (:class:`CompletedRequest`, :class:`AbandonedRequest`), the
   aggregate :class:`ServingReport`, the single-appliance
   :class:`ApplianceServer` front end, and the capacity-planning helpers
-  (:func:`saturation_sweep`, :func:`find_max_rate_under_slo`).
+  (:func:`capacity_search`, :func:`find_max_rate_under_slo`).
 * ``serving/simulator.py`` — the discrete-event core: a single event loop
   that replays a trace against any set of server units.
 * ``serving/schedulers.py`` — pluggable dispatch policies (FIFO, SJF,
@@ -804,38 +804,6 @@ class ApplianceServer:
             degraded_mode=self.degraded_mode,
             retain_records=self.retain_records,
         )
-
-
-def saturation_sweep(
-    platform: Backend | str,
-    trace_builder,
-    arrival_rates: list[float],
-    num_clusters: int = 1,
-    platform_name: str | None = None,
-    scheduler: str | object = "fifo",
-    batch_policy: str | object = "none",
-    max_batch_size: int | None = None,
-    retain_records: bool = True,
-) -> dict[float, ServingReport]:
-    """Serve the same workload mix at increasing arrival rates.
-
-    ``trace_builder(rate)`` must return a request trace for that offered
-    load — a list or a lazy iterator in non-decreasing arrival order; the
-    result maps each rate to its serving report, letting callers find the
-    saturation point (where queueing delay explodes).
-    ``retain_records=False`` streams each rate's report (flat memory), which
-    is how high-rate sweep points stay affordable.
-    """
-    server = ApplianceServer(
-        platform,
-        num_clusters=num_clusters,
-        platform_name=platform_name,
-        scheduler=scheduler,
-        batch_policy=batch_policy,
-        max_batch_size=max_batch_size,
-        retain_records=retain_records,
-    )
-    return {rate: server.serve(trace_builder(rate)) for rate in arrival_rates}
 
 
 @dataclass(frozen=True)

@@ -95,15 +95,3 @@ FIGURE3_WORKLOADS: tuple[Workload, ...] = (
     Workload(32, 3),
     Workload(32, 4),
 )
-
-
-def workload_grid(
-    input_lengths: tuple[int, ...] = PAPER_INPUT_LENGTHS,
-    output_lengths: tuple[int, ...] = PAPER_OUTPUT_LENGTHS,
-) -> list[Workload]:
-    """Build an arbitrary [input:output] grid in row-major (input-major) order."""
-    return [
-        Workload(input_tokens, output_tokens)
-        for input_tokens in input_lengths
-        for output_tokens in output_lengths
-    ]

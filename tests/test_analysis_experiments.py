@@ -14,6 +14,7 @@ from repro.analysis.workload_presets import (
     PRIMARY_SETUP,
     SCALABILITY_SETUP,
 )
+from repro.errors import ConfigurationError
 from repro.model.config import GPT2_345M, GPT2_TEST_TINY
 from repro.results import PHASE_FFN, PHASE_LAYERNORM, PHASE_RESIDUAL, PHASE_SELF_ATTENTION, PHASE_SYNC
 from repro.workloads import Workload
@@ -103,6 +104,8 @@ class TestEvaluationDrivers:
 class TestBatchingComparison:
     """The paper's Sec. III-A tradeoff must play out on the tiny config."""
 
+    LABELS = ("dfx-unbatched", "gpu-unbatched", "gpu-dynamic", "gpu-continuous")
+
     @pytest.fixture(scope="class")
     def result(self):
         return experiments.run_batching_comparison(
@@ -118,34 +121,47 @@ class TestBatchingComparison:
         )
 
     def test_configurations_and_policies(self, result):
-        labels = {"dfx-unbatched", "gpu-unbatched", "gpu-dynamic", "gpu-continuous"}
-        assert set(result.low_load) == labels
-        assert set(result.high_load) == labels
-        assert result.low_load["dfx-unbatched"].batch_policy == "none"
-        assert result.high_load["gpu-dynamic"].batch_policy == "dynamic"
-        assert result.high_load["gpu-continuous"].batch_policy == "continuous"
+        assert result.space.dimension("regime").labels == self.LABELS
+        assert result.space.dimension("trace").labels == ("low", "high")
+        assert result.num_evaluated == result.num_feasible == 8
+        regimes = result.space.dimension("regime").values
+        policies = [regime.get("batch_policy", "none") for regime in regimes]
+        assert [getattr(p, "name", p) for p in policies] == [
+            "none", "none", "dynamic", "continuous",
+        ]
 
     def test_dfx_wins_unbatched_tail_latency_at_low_load(self, result):
-        tails = result.low_load_tail_latency_s()
-        assert result.dfx_wins_low_load_latency
-        assert tails["dfx-unbatched"] < tails["gpu-unbatched"]
-        assert tails["dfx-unbatched"] < tails["gpu-dynamic"]
+        tails = {
+            label: result.value("p99_response_s", trace="low", regime=label)
+            for label in self.LABELS
+        }
+        assert all(
+            tails["dfx-unbatched"] < tail
+            for label, tail in tails.items()
+            if label.startswith("gpu")
+        )
 
     def test_dynamic_batching_raises_gpu_throughput_under_bursty_load(self, result):
-        rates = result.high_load_tokens_per_second()
-        assert result.gpu_batching_throughput_gain > 1.2
-        assert rates["gpu-dynamic"] > rates["gpu-unbatched"]
+        def high(metric, regime):
+            return result.value(metric, trace="high", regime=regime)
+
+        dynamic = high("output_tokens_per_s", "gpu-dynamic")
+        unbatched = high("output_tokens_per_s", "gpu-unbatched")
+        assert dynamic / unbatched > 1.2
         # Batches actually formed on the bursty trace...
-        assert result.high_load["gpu-dynamic"].mean_batch_size > 1.5
+        assert high("mean_batch_size", "gpu-dynamic") > 1.5
+        assert high("mean_batch_size", "gpu-unbatched") == 1.0
         # ...and the latency price was paid in gather delay.
-        assert (
-            result.high_load["gpu-dynamic"].mean_batch_gather_delay_s
-            > result.low_load["dfx-unbatched"].mean_batch_gather_delay_s
+        assert high("mean_gather_delay_s", "gpu-dynamic") > result.value(
+            "mean_gather_delay_s", trace="low", regime="dfx-unbatched"
         )
 
     def test_every_report_conserves_requests(self, result):
-        for reports in (result.low_load, result.high_load):
-            offered = {report.num_offered for report in reports.values()}
+        for trace in ("low", "high"):
+            offered = {
+                result.value("num_offered", trace=trace, regime=label)
+                for label in self.LABELS
+            }
             assert len(offered) == 1  # same trace across configurations
 
 
@@ -166,32 +182,33 @@ class TestBatchCapacitySweep:
         )
 
     def test_one_plan_per_batch_size(self, sweep):
-        assert set(sweep.plans) == {1, 4}
-        assert sweep.backend == "gpu"
-        assert sweep.plans[1].max_rate_per_s > 0
-        assert set(sweep.capacities_per_hour()) == {1, 4}
+        assert sweep.space.dimension("batch").labels == ("1", "4")
+        assert sweep.space.dimension("appliance").labels == ("gpu",)
+        assert [o.name for o in sweep.objectives] == [
+            "max_rate_per_s", "mean_batch_size",
+        ]
+        assert sweep.value("max_rate_per_s", batch=1) > 0
 
     def test_batching_extends_slo_capacity(self, sweep):
         # The GPU's fixed kernel overhead dominates the tiny config, so
         # batch-4 dynamic batching must sustain a higher SLO-compliant
         # offered rate than unbatched serving.
-        assert sweep.plans[4].max_rate_per_s > sweep.plans[1].max_rate_per_s
-        assert sweep.batching_capacity_gain > 1.0
-        assert sweep.best_batch_size() == 4
+        assert sweep.value("max_rate_per_s", batch=4) > sweep.value(
+            "max_rate_per_s", batch=1
+        )
 
     def test_plans_record_the_batched_configuration(self, sweep):
-        report = sweep.plans[4].report_at_capacity
-        assert report is not None
-        assert report.batch_policy == "dynamic"
-        assert report.mean_batch_size > 1.0
-        unbatched = sweep.plans[1].report_at_capacity
-        assert unbatched.batch_policy == "none"
+        # Read off the report at each batch size's capacity.
+        assert sweep.value("mean_batch_size", batch=4) > 1.0
+        assert sweep.value("mean_batch_size", batch=1) == 1.0
 
     def test_validation(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigurationError, match="batch_sizes"):
             experiments.run_batch_capacity_sweep(batch_sizes=())
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigurationError, match="batch sizes"):
             experiments.run_batch_capacity_sweep(batch_sizes=(0, 2))
+        with pytest.raises(ConfigurationError, match="rate_bounds"):
+            experiments.run_batch_capacity_sweep(rate_bounds=(4.0, 1.0))
 
     def test_accepts_backend_names_for_drivers(self):
         # run_scheduler_comparison resolves registry names too.
@@ -202,8 +219,9 @@ class TestBatchCapacitySweep:
             duration_s=20.0,
             num_clusters=1,
         )
-        assert set(result.reports) == {"fifo"}
-        assert result.reports["fifo"].platform == "tpu"
+        assert result.space.dimension("scheduler").labels == ("fifo",)
+        assert result.space.dimension("appliance").labels == ("tpu",)
+        assert result.num_feasible == 1
 
 
 class TestTablesAndAccuracy:

@@ -10,7 +10,6 @@ from repro.analysis.metrics import (
     average_latency_ms,
     average_speedup,
     average_throughput_ratio,
-    geometric_mean_speedup,
     pair_results,
     stage_gflops,
 )
@@ -59,8 +58,6 @@ class TestComparisonRows:
         rows = pair_results(gpu, dfx)
         expected = (100.0 + 10_000.0) / (200.0 + 2_000.0)
         assert average_speedup(rows) == pytest.approx(expected)
-        # The geometric mean of per-workload ratios is different.
-        assert geometric_mean_speedup(rows) != pytest.approx(expected)
 
     def test_average_latency_and_throughput(self):
         results = [_result("dfx", 100.0), _result("dfx", 300.0)]

@@ -8,7 +8,6 @@ from repro.core.tiling import (
     TILE_DESIGN_POINTS,
     TilingConfig,
     design_space_mha_sweep,
-    loading_direction_tradeoffs,
     multi_head_attention_gflops,
 )
 from repro.errors import CalibrationError, ConfigurationError
@@ -66,19 +65,6 @@ class TestFigure8aSweep:
         fast = multi_head_attention_gflops(TilingConfig(), GPT2_1_5B,
                                            kernel_frequency_hz=200e6)
         assert fast == pytest.approx(2 * slow)
-
-
-class TestLoadingDirections:
-    def test_three_directions_reported(self):
-        directions = {d.name for d in loading_direction_tradeoffs(TilingConfig(), GPT2_1_5B)}
-        assert directions == {"horizontal", "vertical", "zigzag"}
-
-    def test_zigzag_balances_buffers_and_reuse(self):
-        horizontal, vertical, zigzag = loading_direction_tradeoffs(TilingConfig(), GPT2_1_5B)
-        assert horizontal.partial_sum_buffers > zigzag.partial_sum_buffers
-        assert vertical.partial_sum_buffers == 1
-        assert vertical.input_reuse_factor < zigzag.input_reuse_factor
-        assert zigzag.input_reuse_factor < horizontal.input_reuse_factor
 
 
 class TestCalibration:

@@ -7,7 +7,6 @@ from repro.model.config import GPT2_1_5B, GPT2_345M
 from repro.parallel.partitioner import build_partition_plan
 from repro.parallel.pipeline import (
     build_pipeline_plan,
-    intra_layer_token_latency_ms,
     pipelined_token_latency_ms,
 )
 from repro.parallel.sync import layer_sync_schedule, sync_bytes_per_token, syncs_per_token
@@ -61,27 +60,10 @@ class TestPipelinePlan:
 
 
 class TestParallelismComparison:
-    """Reproduces the paper's argument for intra-layer over pipelined parallelism."""
+    """The paper's argument against pipelined parallelism for generation."""
 
     def test_pipelining_does_not_reduce_token_latency(self):
         single_layer_ms = 0.1
         pipelined = pipelined_token_latency_ms(single_layer_ms, GPT2_1_5B, 4, 0.01)
         single_device = GPT2_1_5B.n_layer * single_layer_ms
         assert pipelined >= single_device
-
-    def test_intra_layer_reduces_token_latency(self):
-        single_layer_ms = 0.1
-        intra = intra_layer_token_latency_ms(single_layer_ms, GPT2_1_5B, 4,
-                                             sync_latency_ms=0.002)
-        single_device = GPT2_1_5B.n_layer * single_layer_ms
-        assert intra < single_device
-        assert intra < pipelined_token_latency_ms(single_layer_ms, GPT2_1_5B, 4, 0.01)
-
-    def test_intra_layer_gain_shrinks_when_sync_is_expensive(self):
-        cheap_sync = intra_layer_token_latency_ms(0.1, GPT2_1_5B, 4, 0.001)
-        pricey_sync = intra_layer_token_latency_ms(0.1, GPT2_1_5B, 4, 0.01)
-        assert pricey_sync > cheap_sync
-
-    def test_single_device_has_no_sync_overhead(self):
-        base = intra_layer_token_latency_ms(0.1, GPT2_1_5B, 1, sync_latency_ms=10.0)
-        assert base == pytest.approx(GPT2_1_5B.n_layer * 0.1)

@@ -12,11 +12,12 @@ from repro.serving.requests import (
     WorkloadMix,
     bursty_trace,
     constant_trace,
+    diurnal_trace,
     merge_traces,
     poisson_trace,
     with_service_levels,
 )
-from repro.serving.server import ApplianceServer, LatencyOracle, saturation_sweep
+from repro.serving.server import ApplianceServer, LatencyOracle
 from repro.workloads import Workload
 
 import numpy as np
@@ -67,6 +68,48 @@ class TestTraces:
     def test_nan_patience_rejected(self):
         with pytest.raises(ConfigurationError, match="patience_s"):
             ServiceRequest(0, 1.0, Workload(1, 1), patience_s=float("nan"))
+
+    def test_nan_poisson_rate_names_the_rate(self):
+        # Regression: NaN slipped past ``<= 0`` and the error named the
+        # requests' arrival_time_s instead of the rate.
+        with pytest.raises(ConfigurationError, match="arrival_rate_per_s"):
+            poisson_trace(float("nan"), 10.0)
+
+    def test_nan_bursty_rate_rejected(self):
+        # Regression: bursty_trace(nan, 1.0, 10) returned 3 requests.
+        with pytest.raises(ConfigurationError, match="burst_rate_per_s"):
+            bursty_trace(float("nan"), 1.0, 10.0)
+
+    def test_nan_diurnal_period_rejected(self):
+        # Regression: a NaN period returned an empty trace.
+        with pytest.raises(ConfigurationError, match="period_s"):
+            diurnal_trace(2.0, 100.0, period_s=float("nan"))
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda nan: poisson_trace(1.0, nan), "duration_s"),
+            (lambda nan: bursty_trace(5.0, nan, 10.0), "idle_rate_per_s"),
+            (lambda nan: bursty_trace(5.0, 1.0, nan), "duration_s"),
+            (lambda nan: bursty_trace(5.0, 1.0, 10.0, mean_burst_s=nan), "mean_burst_s"),
+            (lambda nan: bursty_trace(5.0, 1.0, 10.0, mean_idle_s=nan), "mean_idle_s"),
+            (lambda nan: diurnal_trace(nan, 100.0), "peak_rate_per_s"),
+            (lambda nan: diurnal_trace(2.0, 100.0, trough_rate_per_s=nan), "trough_rate_per_s"),
+            (lambda nan: diurnal_trace(2.0, nan), "duration_s"),
+            (lambda nan: diurnal_trace(2.0, 100.0, phase_s=nan), "phase_s"),
+            (lambda nan: constant_trace(nan, 3), "interarrival_s"),
+            (lambda nan: constant_trace(1.0, 3, start_time_s=nan), "start_time_s"),
+        ],
+        ids=[
+            "poisson-duration", "bursty-idle", "bursty-duration",
+            "bursty-mean-burst", "bursty-mean-idle", "diurnal-peak",
+            "diurnal-trough", "diurnal-duration", "diurnal-phase",
+            "constant-interarrival", "constant-start",
+        ],
+    )
+    def test_nan_trace_parameter_names_its_field(self, build, field):
+        with pytest.raises(ConfigurationError, match=field):
+            build(float("nan"))
 
     def test_constant_trace(self):
         trace = constant_trace(2.0, 3, Workload(8, 8))
@@ -389,13 +432,3 @@ class TestWithRealPlatformModels:
         ).serve(trace)
         assert dfx_report.mean_response_time_s < gpu_report.mean_response_time_s
         assert dfx_report.output_tokens_per_second > gpu_report.output_tokens_per_second
-
-    def test_saturation_sweep_structure(self):
-        platform = _FixedLatencyPlatform(0.5)
-        reports = saturation_sweep(
-            platform,
-            trace_builder=lambda rate: poisson_trace(rate, 30.0, CHATBOT_MIX, seed=1),
-            arrival_rates=[0.5, 4.0],
-        )
-        assert set(reports) == {0.5, 4.0}
-        assert reports[4.0].mean_queueing_delay_s >= reports[0.5].mean_queueing_delay_s

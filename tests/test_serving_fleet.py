@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.experiments import fleet_capacity_plan, run_scheduler_comparison
+from repro.analysis.experiments import run_scheduler_comparison
+from repro.dse import Dimension, SearchSpace, ServingEvaluator, factorial_search
 from repro.errors import ConfigurationError
 from repro.serving import (
     ApplianceFleet,
@@ -171,37 +172,46 @@ class TestCapacityPlanning:
                 platform, self._trace_builder, slo_s=1.0, relative_tolerance=0.0
             )
 
+    def _fleet_vs_fast_member(self, slo_s):
+        """Capacity of the two-speed fleet and of its fast half alone."""
+        space = SearchSpace([
+            Dimension("appliance", {
+                "fast+slow": {"members": _two_speed_fleet().members},
+                "fast": {
+                    "platform": _FixedLatencyPlatform(1.0),
+                    "num_clusters": 2,
+                    "platform_name": "fast",
+                },
+            }),
+            Dimension("trace", {"poisson": self._trace_builder}),
+        ])
+        result = factorial_search(space, ServingEvaluator((), slo_s=slo_s))
+        return (
+            result.value("max_rate_per_s", appliance="fast+slow"),
+            result.value("max_rate_per_s", appliance="fast"),
+        )
+
     def test_fleet_capacity_exceeds_single_member_capacity(self):
         # The SLO (6 s) is loose enough for the slow member (4 s service) to
         # contribute, so the fleet sustains more load than its fast half.
-        fleet = _two_speed_fleet()
-        fleet_plan = fleet_capacity_plan(fleet, self._trace_builder, slo_s=6.0)
-        fast_plan = find_max_rate_under_slo(
+        fleet_rate, fast_rate = self._fleet_vs_fast_member(slo_s=6.0)
+        assert fleet_rate > fast_rate
+        # The slice's fast half is the single-appliance capacity search.
+        assert fast_rate == find_max_rate_under_slo(
             _FixedLatencyPlatform(1.0),
             self._trace_builder,
             slo_s=6.0,
             num_clusters=2,
             platform_name="fast",
-        )
-        assert fleet_plan.max_rate_per_s > fast_plan.max_rate_per_s
-        assert fleet_plan.platform == "fast+slow"
-        assert fleet_plan.scheduler == "fifo"
+        ).max_rate_per_s
 
     def test_member_slower_than_the_slo_hurts_fleet_capacity(self):
         # Under a 2 s SLO every request spilled to the 4 s appliance is a
         # guaranteed violation, so the greedy balancer makes the fleet
         # *worse* than the fast appliance alone — adding hardware that
         # cannot meet the SLO is not free capacity.
-        fleet = _two_speed_fleet()
-        fleet_plan = fleet_capacity_plan(fleet, self._trace_builder, slo_s=2.0)
-        fast_plan = find_max_rate_under_slo(
-            _FixedLatencyPlatform(1.0),
-            self._trace_builder,
-            slo_s=2.0,
-            num_clusters=2,
-            platform_name="fast",
-        )
-        assert fleet_plan.max_rate_per_s < fast_plan.max_rate_per_s
+        fleet_rate, fast_rate = self._fleet_vs_fast_member(slo_s=2.0)
+        assert fleet_rate < fast_rate
 
     def test_abandonment_constraint_lowers_capacity(self):
         def impatient_builder(rate):
@@ -219,6 +229,17 @@ class TestCapacityPlanning:
         assert strict.max_rate_per_s <= lax.max_rate_per_s
 
 
+def _best_policy_by_offered_p95(result):
+    """The scheduler with the lowest offered p95 (ties: fewer abandoned)."""
+    return min(
+        result.space.dimension("scheduler").labels,
+        key=lambda policy: (
+            result.value("offered_p95_s", scheduler=policy),
+            result.value("abandonment_rate", scheduler=policy),
+        ),
+    )
+
+
 class TestAnalysisDrivers:
     def test_run_scheduler_comparison_on_test_double(self):
         result = run_scheduler_comparison(
@@ -227,12 +248,14 @@ class TestAnalysisDrivers:
             duration_s=40.0,
             num_clusters=1,
         )
-        assert set(result.reports) == {"fifo", "sjf", "priority", "deadline"}
+        policies = result.space.dimension("scheduler").labels
+        assert policies == ("fifo", "sjf", "priority", "deadline")
+        (trace,) = result.space.dimension("trace").values
         assert all(
-            r.num_requests + r.num_abandoned == result.trace_length
-            for r in result.reports.values()
+            result.value("num_offered", scheduler=policy) == len(trace)
+            for policy in policies
         )
-        assert result.best_policy_by_p95() in result.reports
+        assert _best_policy_by_offered_p95(result) in policies
 
     def test_best_policy_cannot_win_by_shedding_load(self):
         # Overload with a tight SLO: the deadline scheduler abandons most of
@@ -246,9 +269,9 @@ class TestAnalysisDrivers:
             policies=("fifo", "deadline"),
             trace=trace,
         )
-        deadline = result.reports["deadline"]
-        assert deadline.abandonment_rate > 0.05
-        assert deadline.response_time_percentile_s(95) < result.reports[
-            "fifo"
-        ].response_time_percentile_s(95)
-        assert result.best_policy_by_p95() == "fifo"
+        assert result.value("abandonment_rate", scheduler="deadline") > 0.05
+        assert result.value("p95_response_s", scheduler="deadline") < result.value(
+            "p95_response_s", scheduler="fifo"
+        )
+        assert result.value("offered_p95_s", scheduler="deadline") == float("inf")
+        assert _best_policy_by_offered_p95(result) == "fifo"

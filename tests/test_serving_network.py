@@ -87,6 +87,17 @@ class TestNetworkLink:
         link = NetworkLink(latency_s=0.25)
         assert link.one_way_s(1e9) == 0.25
 
+    def test_nan_latency_rejected(self):
+        # Regression: NetworkLink(latency_s=nan) was accepted.
+        with pytest.raises(ConfigurationError, match="latency_s"):
+            NetworkLink(latency_s=float("nan"))
+
+    def test_nan_bandwidth_and_payload_size_rejected(self):
+        with pytest.raises(ConfigurationError, match="bandwidth_bytes_per_s"):
+            NetworkLink(bandwidth_bytes_per_s=float("nan"))
+        with pytest.raises(ConfigurationError, match="bytes_per_token"):
+            NetworkModel.star({"rack0": ("a",)}, bytes_per_token=float("nan"))
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             NetworkLink(latency_s=-1.0)

@@ -8,13 +8,10 @@ import pytest
 from repro import cli
 from repro.analysis.claims import EXPERIMENTS
 from repro.analysis.export import (
-    comparison_grid_to_dict,
     read_json,
     result_to_dict,
     write_json,
 )
-from repro.analysis.metrics import pair_results
-from repro.baselines.gpu import GPUAppliance
 from repro.cli import build_parser, main
 from repro.core.appliance import DFXAppliance
 from repro.core.dma import DMAModel
@@ -107,15 +104,6 @@ class TestExport:
         assert loaded["latency_ms"] == pytest.approx(result.latency_ms)
         # The file is valid JSON (no NumPy scalars leaked through).
         json.loads(path.read_text())
-
-    def test_comparison_grid_export(self):
-        workloads = [Workload(32, 1), Workload(32, 4)]
-        gpu = GPUAppliance(GPT2_345M, 1).run_many(workloads)
-        dfx = DFXAppliance(GPT2_345M, 1).run_many(workloads)
-        payload = comparison_grid_to_dict(pair_results(gpu, dfx))
-        assert len(payload["rows"]) == 2
-        assert payload["average_speedup"] > 0
-
 
 class TestCLI:
     def test_parser_covers_both_commands(self):
