@@ -380,14 +380,24 @@ def _one_cluster(platform: Backend, name: str, **parts) -> dict[str, object]:
     return {"platform": platform, "num_clusters": 1, "platform_name": name, **parts}
 
 
-def _serving_slice(metrics, *, jobs=1, slo_s=None, rate_bounds=(0.05, 64.0), **dimensions):
+def _part(name: str, levels: dict[str, object]) -> dict[str, dict[str, object]]:
+    """The levels of a dimension whose every level sets the one part ``name``."""
+    return {label: {name: value} for label, value in levels.items()}
+
+
+def _serving_slice(metrics, *, slo_s=None, rate_bounds=(0.05, 64.0), **dimensions):
+    """Score label -> parts ``dimensions`` factorially; a study expects every
+    candidate to serve, so the first rejected part raises."""
     from repro.dse import Dimension, SearchSpace, ServingEvaluator, factorial_search
 
-    return factorial_search(
+    result = factorial_search(
         SearchSpace([Dimension(name, levels) for name, levels in dimensions.items()]),
         ServingEvaluator(metrics, slo_s, rate_bounds=rate_bounds),
-        jobs=jobs,
     )
+    for entry in result.evaluated:
+        if not entry.feasible:
+            raise ConfigurationError(f"{entry.key}: {entry.infeasible_reason}")
+    return result
 
 
 def run_scheduler_comparison(
@@ -409,13 +419,16 @@ def run_scheduler_comparison(
     if not policies:
         raise ConfigurationError("a scheduler comparison needs at least one policy")
     backend = _serving_backend("dfx" if platform is None else platform, config, num_devices)
+    # Every policy serves the identical trace, so a lazy one is materialized.
+    traces = (
+        {"poisson": poisson_trace(arrival_rate_per_s, duration_s, mix, seed=seed)}
+        if trace is None else {"given": list(trace)}
+    )
     return _serving_slice(
         ("offered_p95_s", "abandonment_rate", "p95_response_s", "num_offered"),
         appliance={backend.name: {"platform": backend, "num_clusters": num_clusters}},
-        # Every policy serves the identical trace, so a lazy one is materialized.
-        trace={"poisson": poisson_trace(arrival_rate_per_s, duration_s, mix, seed=seed)}
-        if trace is None else {"given": list(trace)},
-        scheduler=policies,
+        trace=_part("trace", traces),
+        scheduler=_part("scheduler", {policy: policy for policy in policies}),
     )
 
 
@@ -444,8 +457,10 @@ def run_serving_capacity(
             "dfx-x2": {"platform": dfx, "num_clusters": 2, "platform_name": "dfx-x2"},
             "dfx-x2+gpu": {"members": fleet},
         },
-        scheduler=[scheduler],
-        trace={"poisson": partial(poisson_trace, duration_s=trace_duration_s, mix=mix, seed=seed)},
+        scheduler=_part("scheduler", {scheduler: scheduler}),
+        trace=_part("trace", {
+            "poisson": partial(poisson_trace, duration_s=trace_duration_s, mix=mix, seed=seed)
+        }),
     )
 
 
@@ -465,11 +480,10 @@ def run_fault_campaign(
     degraded_mode: DegradedModePolicy | None = None,
     config: GPT2Config = GPT2_1_5B,
     num_devices: int | None = None,
-    jobs: int = 1,
 ) -> "repro.dse.ExplorationResult":  # noqa: F821 - forward doc reference
     """Failover quality per (``scheduler``, ``seed``) on the 4U host (``dfx-4u``):
     each seed's Poisson trace and MTBF/MTTR fault schedule is served by every
-    policy.  ``jobs`` runs candidates in worker processes, identical to serial.
+    policy.
     """
     if not policies:
         raise ConfigurationError("a fault campaign needs at least one policy")
@@ -486,14 +500,13 @@ def run_fault_campaign(
     return _serving_slice(
         ("availability", "goodput_fraction", "mean_failover_delay_s",
          "slo_violation_rate", "num_retries", "num_failed"),
-        jobs=jobs,
         appliance={backend.name: {
             "platform": backend,
             "num_clusters": num_clusters,
             "retry_policy": RetryPolicy() if retry_policy is None else retry_policy,
             "degraded_mode": degraded_mode,
         }},
-        scheduler=policies,
+        scheduler=_part("scheduler", {policy: policy for policy in policies}),
         seed=scenarios,
     )
 
@@ -527,13 +540,15 @@ def run_fleet_topology_plan(
     return _serving_slice(
         ("p99_response_s", "cross_rack_p99_s", "mean_transfer_s", "cross_rack_fraction"),
         fleet={f"{racks}x{appliances_per_rack}": {"members": members, "scheduler": scheduler}},
-        trace={"poisson": poisson_trace(arrival_rate_per_s, duration_s, mix, seed=seed)},
-        network={
+        trace=_part("trace", {
+            "poisson": poisson_trace(arrival_rate_per_s, duration_s, mix, seed=seed)
+        }),
+        network=_part("network", {
             label: NetworkModel.star(
                 placement, ingress="rack0", link=level, bytes_per_token=bytes_per_token
             )
             for label, level in (("priced", link), ("zero-cost", NetworkLink()))
-        },
+        }),
     )
 
 
@@ -562,13 +577,13 @@ def run_batching_comparison(
     return _serving_slice(
         ("p99_response_s", "output_tokens_per_s", "mean_batch_size",
          "mean_gather_delay_s", "utilization", "num_offered"),
-        trace={
+        trace=_part("trace", {
             "low": poisson_trace(low_rate_per_s, duration_s, mix, seed=seed),
             "high": bursty_trace(
                 burst_rate_per_s, idle_rate_per_s, duration_s, mean_burst_s=mean_burst_s,
                 mean_idle_s=mean_idle_s, mix=mix, seed=seed,
             ),
-        },
+        }),
         regime={
             "dfx-unbatched": _one_cluster(dfx, "dfx"),
             "gpu-unbatched": _one_cluster(gpu, "gpu"),
@@ -611,8 +626,10 @@ def run_batch_capacity_sweep(
         slo_s=slo_s,
         rate_bounds=rate_bounds,
         appliance={resolved.name: {"platform": resolved, "num_clusters": num_clusters}},
-        scheduler=[scheduler],
-        trace={"poisson": partial(poisson_trace, duration_s=trace_duration_s, mix=mix, seed=seed)},
+        scheduler=_part("scheduler", {scheduler: scheduler}),
+        trace=_part("trace", {
+            "poisson": partial(poisson_trace, duration_s=trace_duration_s, mix=mix, seed=seed)
+        }),
         batch={
             str(size): {
                 "batch_policy": "none" if size == 1 else DynamicBatching(size, batch_timeout_s),

@@ -1,15 +1,17 @@
 """Serving studies as factorial slices: one report-metrics evaluator.
 
 A study builds its parts once (backends, traces, fault schedules,
-networks) and declares a :class:`~repro.dse.space.SearchSpace` over them: a
-dimension named after a part carries it, any other dimension a mapping of
-parts per level.  :class:`ServingEvaluator` builds each candidate's
-``ApplianceServer`` (``platform`` part) or ``ApplianceFleet`` (``members``)
-with the other parts as keywords, serves the ``trace`` part, and emits
-metrics from :data:`REPORT_METRICS`.  Every candidate serves the study's one
-trace: unlike :class:`~repro.dse.appliance.ApplianceEvaluator`, nothing is
-seeded from the candidate key.  A rejected part raises
-:class:`~repro.errors.ConfigurationError`: an infeasible row.
+networks) and declares a :class:`~repro.dse.space.SearchSpace` over them:
+every dimension maps each level's label to a dict of parts.
+:class:`ServingEvaluator` merges a candidate's dicts, builds an
+``ApplianceFleet`` when a ``members`` part is set (an ``ApplianceServer``
+otherwise) with every part but ``trace`` as a keyword, serves the ``trace``
+part, and emits metrics from :data:`REPORT_METRICS`.  Every candidate
+serves the study's one trace: unlike
+:class:`~repro.dse.appliance.ApplianceEvaluator`, nothing is seeded from
+the candidate key.  A part the front end rejects raises
+:class:`~repro.errors.ConfigurationError`: an infeasible row.  A part set
+twice or a keyword the front end lacks raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -60,46 +62,6 @@ REPORT_METRICS: Mapping[str, tuple[str, str, Callable[[ServingReport], float]]] 
     "cross_rack_fraction": ("min", "ratio", attrgetter("cross_rack_dispatch_fraction")),
 }
 
-_SERVER_ONLY = frozenset({"num_clusters", "platform_name", "max_batch_size"})
-_FLEET_ONLY = frozenset({"name", "network"})
-_PARTS = _SERVER_ONLY | _FLEET_ONLY | {
-    "platform", "members", "trace", "scheduler", "batch_policy", "faults",
-    "retry_policy", "degraded_mode",
-}
-
-
-def _parts(candidate: Candidate) -> dict[str, object]:
-    """Part name -> part, merged over the candidate's dimensions."""
-    parts: dict[str, object] = {}
-    for name, value in zip(candidate.names, candidate.values):
-        level = {name: value} if name in _PARTS else value
-        if not isinstance(level, Mapping):
-            raise ConfigurationError(
-                f"dimension {name!r} is not a serving part and its level is "
-                f"not a mapping of parts; parts: {sorted(_PARTS)}"
-            )
-        for part, part_value in level.items():
-            if part not in _PARTS or part in parts:
-                raise ConfigurationError(
-                    f"dimension {name!r} sets an unknown or already-set part "
-                    f"{part!r}; parts: {sorted(_PARTS)}"
-                )
-            parts[part] = part_value
-    return parts
-
-
-def _front(parts: dict[str, object]) -> ApplianceServer | ApplianceFleet:
-    if ("platform" in parts) == ("members" in parts):
-        raise ConfigurationError("a candidate needs exactly one 'platform' or 'members' part")
-    key, front, foreign = (
-        ("members", ApplianceFleet, _SERVER_ONLY & parts.keys()) if "members" in parts
-        else ("platform", ApplianceServer, _FLEET_ONLY & parts.keys())
-    )
-    if foreign:
-        raise ConfigurationError(f"parts {sorted(foreign)} do not apply to an {front.__name__}")
-    return front(parts.pop(key), **parts)
-
-
 @dataclass(frozen=True)
 class ServingEvaluator:
     """Serves each candidate and reads ``metrics`` off its report.
@@ -138,20 +100,19 @@ class ServingEvaluator:
         return (Objective("max_rate_per_s", "max", "req/s"),) + declared
 
     def evaluate(self, candidate: Candidate) -> ObjectiveVector:
-        parts = _parts(candidate)
-        trace = parts.pop("trace", None)
-        front = _front(parts)
+        parts: dict[str, object] = {}
+        for level in candidate.values:
+            parts = dict(**parts, **level)  # a part set twice is a TypeError
+        trace = parts.pop("trace")
+        front = ApplianceFleet(**parts) if "members" in parts else ApplianceServer(**parts)
         readers = [REPORT_METRICS[name][2] for name in self.metrics]
         if self.slo_s is None:
             if not isinstance(trace, Sequence):
-                raise ConfigurationError("the 'trace' part must be a materialized sequence")
+                # A lazy trace would be spent by the first candidate.
+                raise TypeError("the 'trace' part must be a materialized sequence")
             report = front.serve(trace)
             values = tuple(read(report) for read in readers)
         else:
-            if not callable(trace):
-                raise ConfigurationError(
-                    "with an slo_s set, the 'trace' part must be a rate -> trace builder"
-                )
             plan = capacity_search(
                 front.serve, trace, self.slo_s,
                 platform=candidate.key,

@@ -14,9 +14,11 @@ from repro.analysis.workload_presets import (
     PRIMARY_SETUP,
     SCALABILITY_SETUP,
 )
+from repro.backends import make_backend
 from repro.errors import ConfigurationError
-from repro.model.config import GPT2_345M, GPT2_TEST_TINY
+from repro.model.config import GPT2_1_5B, GPT2_345M, GPT2_TEST_TINY
 from repro.results import PHASE_FFN, PHASE_LAYERNORM, PHASE_RESIDUAL, PHASE_SELF_ATTENTION, PHASE_SYNC
+from repro.serving import DATACENTER_MIX, ApplianceServer, poisson_trace
 from repro.workloads import Workload
 
 
@@ -219,9 +221,15 @@ class TestBatchCapacitySweep:
             duration_s=20.0,
             num_clusters=1,
         )
-        assert result.space.dimension("scheduler").labels == ("fifo",)
         assert result.space.dimension("appliance").labels == ("tpu",)
-        assert result.num_feasible == 1
+        served = ApplianceServer(make_backend("tpu", config=GPT2_1_5B), 1).serve(
+            poisson_trace(0.5, 20.0, DATACENTER_MIX, seed=11)
+        )
+        assert served.platform == "tpu"
+        assert result.value("p95_response_s", scheduler="fifo") == (
+            served.response_time_percentile_s(95.0)
+        )
+        assert result.value("num_offered", scheduler="fifo") == served.num_offered
 
 
 class TestTablesAndAccuracy:

@@ -183,7 +183,7 @@ class TestCapacityPlanning:
                     "platform_name": "fast",
                 },
             }),
-            Dimension("trace", {"poisson": self._trace_builder}),
+            Dimension("trace", {"poisson": {"trace": self._trace_builder}}),
         ])
         result = factorial_search(space, ServingEvaluator((), slo_s=slo_s))
         return (
@@ -250,7 +250,8 @@ class TestAnalysisDrivers:
         )
         policies = result.space.dimension("scheduler").labels
         assert policies == ("fifo", "sjf", "priority", "deadline")
-        (trace,) = result.space.dimension("trace").values
+        (level,) = result.space.dimension("trace").values
+        trace = level["trace"]
         assert all(
             result.value("num_offered", scheduler=policy) == len(trace)
             for policy in policies

@@ -27,6 +27,7 @@ from repro.serving import (
     DATACENTER_MIX,
     ApplianceFleet,
     ApplianceServer,
+    ContinuousBatching,
     DynamicBatching,
     FaultSchedule,
     FleetMember,
@@ -147,22 +148,30 @@ class TestSlicesMatchDirectServing:
             "cross_rack_fraction": report.cross_rack_dispatch_fraction,
         }
 
-    def test_batching_comparison(self):
-        result = experiments.run_batching_comparison(
+    @pytest.fixture(scope="class")
+    def batching(self):
+        return experiments.run_batching_comparison(
             GPT2_TEST_TINY, num_devices=1, duration_s=30.0, burst_rate_per_s=15.0,
             idle_rate_per_s=0.5, mean_burst_s=5.0, mean_idle_s=5.0,
             batch_timeout_s=1.0,
         )
+
+    @pytest.mark.parametrize(
+        "regime, policy",
+        [("gpu-dynamic", DynamicBatching(8, 1.0)), ("gpu-continuous", ContinuousBatching(8))],
+        ids=["dynamic", "continuous"],
+    )
+    def test_batching_comparison(self, batching, regime, policy):
         trace = bursty_trace(
             15.0, 0.5, 30.0, mean_burst_s=5.0, mean_idle_s=5.0,
             mix=CHATBOT_MIX, seed=13,
         )
         report = ApplianceServer(
-            _tiny("gpu"), 1, "gpu",
-            batch_policy=DynamicBatching(8, 1.0), max_batch_size=8,
+            _tiny("gpu"), 1, "gpu", batch_policy=policy, max_batch_size=8,
         ).serve(trace)
+        assert report.batch_policy == policy.name
         assert report.mean_batch_size > 1.0
-        assert _row(result, trace="high", regime="gpu-dynamic") == {
+        assert _row(batching, trace="high", regime=regime) == {
             "p99_response_s": report.response_time_percentile_s(99.0),
             "output_tokens_per_s": report.output_tokens_per_second,
             "mean_batch_size": report.mean_batch_size,
@@ -171,21 +180,28 @@ class TestSlicesMatchDirectServing:
             "num_offered": report.num_offered,
         }
 
-    def test_batch_capacity_sweep(self):
-        result = experiments.run_batch_capacity_sweep(
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        return experiments.run_batch_capacity_sweep(
             "gpu", config=GPT2_TEST_TINY, num_devices=1, batch_sizes=(1, 4),
             slo_s=2.0, batch_timeout_s=0.25, trace_duration_s=30.0,
             rate_bounds=(0.1, 16.0),
         )
+
+    @pytest.mark.parametrize(
+        "size, policy", [(1, "none"), (4, DynamicBatching(4, 0.25))], ids=["1", "4"]
+    )
+    def test_batch_capacity_sweep(self, sweep, size, policy):
         plan = find_max_rate_under_slo(
             _tiny("gpu"),
             lambda rate: poisson_trace(rate, 30.0, CHATBOT_MIX, seed=7),
             2.0,
-            batch_policy=DynamicBatching(4, 0.25),
-            max_batch_size=4,
+            batch_policy=policy,
+            max_batch_size=size,
             rate_bounds=(0.1, 16.0),
         )
-        assert _row(result, batch=4) == {
+        assert plan.report_at_capacity.batch_policy == getattr(policy, "name", policy)
+        assert _row(sweep, batch=size) == {
             "max_rate_per_s": plan.max_rate_per_s,
             "mean_batch_size": plan.report_at_capacity.mean_batch_size,
         }
@@ -198,10 +214,34 @@ class TestParallelStudies:
             duration_s=40.0, mtbf_s=5.0, mttr_s=4.0, config=GPT2_TEST_TINY,
         )
         serial = experiments.run_fault_campaign(**kwargs)
-        parallel = experiments.run_fault_campaign(**kwargs, jobs=2)
+        parallel = factorial_search(
+            serial.space,
+            ServingEvaluator(tuple(o.name for o in serial.objectives)),
+            jobs=2,
+        )
         assert len(serial.table()) == 4
         assert parallel.table() == serial.table()
         assert [e.key for e in parallel.evaluated] == [e.key for e in serial.evaluated]
+
+
+@pytest.mark.parametrize(
+    "driver, kwargs, field",
+    [
+        (experiments.run_fault_campaign,
+         dict(seeds=(0,), duration_s=10.0, num_clusters=0), "num_clusters"),
+        (experiments.run_scheduler_comparison,
+         dict(policies=("fifo", "fcfs"), duration_s=10.0, num_devices=1, mix=CHATBOT_MIX),
+         "unknown scheduler 'fcfs'"),
+        (experiments.run_batch_capacity_sweep,
+         dict(scheduler="typo", num_devices=1), "unknown scheduler 'typo'"),
+    ],
+    ids=["num-clusters", "policy", "scheduler"],
+)
+def test_parts_the_front_end_rejects_raise(driver, kwargs, field):
+    # Checked by the server each candidate builds, not by the driver: a
+    # study expects every candidate to serve, so no row is dropped quietly.
+    with pytest.raises(ConfigurationError, match=field):
+        driver(config=GPT2_TEST_TINY, **kwargs)
 
 
 # ----------------------------------------------------------- the studies
@@ -347,55 +387,50 @@ class TestServingEvaluator:
         platform = FixedLatencyPlatform(0.5)
         result = factorial_search(
             _space(
-                platform={"a": platform, "b": platform},
-                trace={"t": self.TRACE},
+                platform={"a": {"platform": platform}, "b": {"platform": platform}},
+                trace={"t": {"trace": self.TRACE}},
             ),
             ServingEvaluator(("p99_response_s", "num_offered")),
         )
         table = result.table()
         assert table["platform=a|trace=t"] == table["platform=b|trace=t"]
 
-    @pytest.mark.parametrize(
-        "levels, reason",
-        [
-            (dict(trace={"t": TRACE}), "'platform' or 'members' part"),
-            (dict(platform={"p": FixedLatencyPlatform(1.0)}), "'trace'"),
-            (dict(platform={"p": FixedLatencyPlatform(1.0)},
-                  trace={"t": TRACE}, color=["red"]), "not a serving part"),
-            (dict(platform={"p": FixedLatencyPlatform(1.0)},
-                  trace={"t": TRACE}, knob={"k": {"warp": 9}}), "unknown or already-set part"),
-            (dict(platform={"p": FixedLatencyPlatform(1.0)},
-                  trace={"t": TRACE}, knob={"k": {"trace": TRACE}}), "already-set part"),
-            (dict(platform={"p": FixedLatencyPlatform(1.0)},
-                  trace={"t": TRACE}, network={"n": None}), "ApplianceServer"),
-            (dict(members={"m": (FleetMember("a", FixedLatencyPlatform(1.0)),)},
-                  trace={"t": TRACE}, num_clusters=[2]), "ApplianceFleet"),
-            (dict(platform={"p": FixedLatencyPlatform(1.0)},
-                  trace={"lazy": iter(TRACE)}), "materialized"),
-        ],
-        ids=["no-front", "no-trace", "plain-foreign-dimension", "unknown-part",
-             "duplicate-part", "fleet-part-on-server", "server-part-on-fleet",
-             "lazy-trace"],
-    )
-    def test_bad_parts_are_infeasible_rows(self, levels, reason):
-        result = factorial_search(_space(**levels), ServingEvaluator(("num_offered",)))
-        (entry,) = result.evaluated
-        assert not entry.feasible
-        assert reason in entry.infeasible_reason
-
-    def test_capacity_mode_needs_a_trace_builder(self):
+    def test_a_rejected_part_is_an_infeasible_row(self):
         result = factorial_search(
-            _space(platform={"p": FixedLatencyPlatform(1.0)}, trace={"t": self.TRACE}),
-            ServingEvaluator((), slo_s=2.0),
+            _space(
+                server={"none": {"platform": FixedLatencyPlatform(1.0), "num_clusters": 0}},
+                trace={"t": {"trace": self.TRACE}},
+            ),
+            ServingEvaluator(("num_offered",)),
         )
         (entry,) = result.evaluated
-        assert "rate -> trace builder" in entry.infeasible_reason
+        assert "num_clusters must be positive" in entry.infeasible_reason
+        assert result.table() == {}
+        with pytest.raises(ConfigurationError, match="infeasible"):
+            result.value("num_offered")
+
+    @pytest.mark.parametrize(
+        "levels, message",
+        [
+            (dict(knob={"k": {"trace": TRACE}}), "multiple values"),
+            (dict(knob={"k": {"warp": 9}}), "warp"),
+            (dict(trace={"lazy": {"trace": iter(TRACE)}}), "materialized"),
+        ],
+        ids=["part-set-twice", "unknown-keyword", "lazy-trace"],
+    )
+    def test_malformed_parts_raise(self, levels, message):
+        space = _space(
+            platform={"p": {"platform": FixedLatencyPlatform(1.0)}},
+            **{"trace": {"t": {"trace": self.TRACE}}, **levels},
+        )
+        with pytest.raises(TypeError, match=message):
+            factorial_search(space, ServingEvaluator(("num_offered",)))
 
     def test_unmeetable_slo_reads_zero_metrics(self):
         result = factorial_search(
             _space(
-                platform={"slow": FixedLatencyPlatform(5.0)},
-                trace={"poisson": lambda rate: poisson_trace(rate, 30.0, seed=3)},
+                platform={"slow": {"platform": FixedLatencyPlatform(5.0)}},
+                trace={"poisson": {"trace": lambda rate: poisson_trace(rate, 30.0, seed=3)}},
             ),
             ServingEvaluator(("p99_response_s",), slo_s=1.0),
         )
@@ -407,10 +442,10 @@ class TestExplorationReaders:
     def result(self):
         return factorial_search(
             _space(
-                platform={"fast": FixedLatencyPlatform(0.5),
-                          "slow": FixedLatencyPlatform(2.0)},
-                trace={"t": TestServingEvaluator.TRACE},
-                scheduler=["fifo", "sjf"],
+                platform={"fast": {"platform": FixedLatencyPlatform(0.5)},
+                          "slow": {"platform": FixedLatencyPlatform(2.0)}},
+                trace={"t": {"trace": TestServingEvaluator.TRACE}},
+                scheduler={name: {"scheduler": name} for name in ("fifo", "sjf")},
             ),
             ServingEvaluator(("p99_response_s",)),
         )
@@ -429,15 +464,6 @@ class TestExplorationReaders:
                 "p99_response_s", platform="slow", scheduler="fifo"
             )
         }
-
-    def test_infeasible_candidates_have_no_value(self):
-        result = factorial_search(
-            _space(trace={"t": TestServingEvaluator.TRACE}),
-            ServingEvaluator(("num_offered",)),
-        )
-        assert result.table() == {}
-        with pytest.raises(ConfigurationError, match="infeasible"):
-            result.value("num_offered")
 
 
 class TestRackFleet:
