@@ -222,6 +222,7 @@ class GPUAppliance:
 
     def run(self, workload: Workload) -> InferenceResult:
         """Model one text-generation request on the GPU appliance."""
+        workload.check_fits(self.config)
         summarization_ms = self.summarization_ms(workload.input_tokens)
         generation_iterations = workload.output_tokens - 1
         generation_ms = generation_iterations * self.per_token_generation_ms()

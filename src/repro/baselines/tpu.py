@@ -94,6 +94,7 @@ class TPUBaseline:
     # --------------------------------------------------------------------- run
     def run(self, workload: Workload) -> InferenceResult:
         """Model one text-generation request on the TPU."""
+        workload.check_fits(self.config)
         summarization_ms = self.summarization_ms(workload.input_tokens)
         generation_ms = (workload.output_tokens - 1) * self.per_token_generation_ms()
         breakdown_summ = {

@@ -10,11 +10,11 @@ energy, and achieved FLOP/s.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.core.cluster import DFXCluster
-from repro.core.scheduler import ProgramTiming
 from repro.core.tiling import TilingConfig
-from repro.errors import ConfigurationError
 from repro.fpga.u280 import DEFAULT_U280, U280Spec
 from repro.model.config import GPT2Config
 from repro.results import InferenceResult, StageLatency
@@ -24,23 +24,29 @@ from repro.workloads import Workload
 DFX_PLATFORM = "dfx"
 
 
+def _running_sum(start: float, values: np.ndarray) -> float:
+    """``start + values[0] + values[1] + ...``, added left to right."""
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
+
+
 def _stage_latency(
-    timings: list[ProgramTiming],
+    cycles_by_tag: dict[str, np.ndarray],
+    steps: slice,
     stage_seconds: float,
 ) -> StageLatency:
-    """Convert accumulated program timings into a stage latency + breakdown.
+    """Convert a stage's token steps into a stage latency + breakdown.
 
-    The per-phase breakdown distributes the stage's wall-clock time according
-    to each phase's share of unit-occupancy cycles (overlap between units
-    means occupancy does not sum exactly to the critical path, so shares are
+    ``steps`` selects the stage's past lengths in a step table.  The per-phase
+    breakdown distributes the stage's wall-clock time according to each
+    phase's share of unit-occupancy cycles (overlap between units means
+    occupancy does not sum exactly to the critical path, so shares are
     normalized before scaling).
     """
-    merged: dict[str, float] = {}
-    for timing in timings:
-        for tag, cycles in timing.cycles_by_tag.items():
-            merged[tag] = merged.get(tag, 0.0) + cycles
-    accounted = sum(merged.values())
     stage_ms = stage_seconds * 1e3
+    merged = {
+        tag: _running_sum(0.0, cycles[steps]) for tag, cycles in cycles_by_tag.items()
+    }
+    accounted = sum(merged.values())
     if accounted <= 0:
         return StageLatency(latency_ms=stage_ms, breakdown_ms={})
     breakdown = {
@@ -76,48 +82,40 @@ class DFXAppliance:
 
     # ---------------------------------------------------------------------- run
     def run(self, workload: Workload) -> InferenceResult:
-        """Simulate one text-generation request and return its result."""
-        if workload.total_tokens > self.config.n_positions:
-            raise ConfigurationError(
-                f"workload {workload.label} exceeds the model's context window "
-                f"({self.config.n_positions} tokens)"
-            )
-        frequency = self.spec.kernel_frequency_hz
+        """Simulate one text-generation request and return its result.
+
+        Summarization: the prompt tokens stream through the same
+        single-token (matrix-vector) datapath one after another — DFX has no
+        batched matrix-matrix path, which is why the paper measures the same
+        ~constant GFLOP/s in both stages (Fig. 17) and a summarization cost
+        that grows linearly with the prompt length (Fig. 14).  Generation: one
+        token per iteration with a growing KV cache.  The steps are past
+        lengths ``0 .. total_tokens - 2`` of the step table, summed in order.
+        """
+        workload.check_fits(self.config)
+        table = self.cluster.step_table()
         host_overhead = self.calibration.host_overhead_per_token_s
-
-        # Summarization: the prompt tokens stream through the same
-        # single-token (matrix-vector) datapath one after another — DFX has no
-        # batched matrix-matrix path, which is why the paper measures the same
-        # ~constant GFLOP/s in both stages (Fig. 17) and a summarization cost
-        # that grows linearly with the prompt length (Fig. 14).
-        summarization_timings: list[ProgramTiming] = []
-        summarization_seconds = host_overhead
-        total_flops = 0.0
-        for position in range(workload.input_tokens):
-            step = self.cluster.token_step(rows=1, past_length=position)
-            summarization_timings.append(step.timing)
-            summarization_seconds += step.timing.seconds(frequency)
-            total_flops += step.flops_per_device * self.num_devices
-
-        # Generation: one token per iteration with a growing KV cache.
-        generation_timings: list[ProgramTiming] = []
-        generation_seconds = 0.0
-        for iteration in range(1, workload.output_tokens):
-            past_length = workload.input_tokens + iteration - 1
-            step = self.cluster.token_step(rows=1, past_length=past_length)
-            generation_timings.append(step.timing)
-            generation_seconds += step.timing.seconds(frequency) + host_overhead
-            total_flops += step.flops_per_device * self.num_devices
-
+        prompt, steps = workload.input_tokens, workload.total_tokens - 1
+        step_seconds = table.timing.total_cycles[:steps] / self.spec.kernel_frequency_hz
+        flops = table.flops_per_device[:steps] * self.num_devices
+        cycles_by_tag = table.timing.cycles_by_tag
         return InferenceResult(
             platform=DFX_PLATFORM,
             model_name=self.config.name,
             workload=workload,
             num_devices=self.num_devices,
-            summarization=_stage_latency(summarization_timings, summarization_seconds),
-            generation=_stage_latency(generation_timings, generation_seconds),
+            summarization=_stage_latency(
+                cycles_by_tag,
+                slice(0, prompt),
+                _running_sum(host_overhead, step_seconds[:prompt]),
+            ),
+            generation=_stage_latency(
+                cycles_by_tag,
+                slice(prompt, steps),
+                _running_sum(0.0, step_seconds[prompt:] + host_overhead),
+            ),
             total_power_watts=self.cluster.total_power_watts(),
-            flops=total_flops,
+            flops=_running_sum(0.0, flops),
         )
 
     # ---------------------------------------------------------------- utilities
@@ -137,26 +135,15 @@ class DFXAppliance:
         finish together, so the cohort's wall clock *is* the per-request
         latency.
         """
-        if workload.total_tokens > self.config.n_positions:
-            raise ConfigurationError(
-                f"workload {workload.label} exceeds the model's context window "
-                f"({self.config.n_positions} tokens)"
-            )
+        workload.check_fits(self.config)
+        table = self.cluster.step_table(batch=batch)
         host_overhead = self.calibration.host_overhead_per_token_s
-        seconds = host_overhead
-        for position in range(workload.input_tokens):
-            seconds += self.cluster.batched_token_step(
-                batch, position
-            ).seconds(self.spec.kernel_frequency_hz)
-        for iteration in range(1, workload.output_tokens):
-            past_length = workload.input_tokens + iteration - 1
-            seconds += (
-                self.cluster.batched_token_step(batch, past_length).seconds(
-                    self.spec.kernel_frequency_hz
-                )
-                + host_overhead
-            )
-        return seconds
+        prompt, steps = workload.input_tokens, workload.total_tokens - 1
+        step_seconds = table.timing.total_cycles[:steps] / self.spec.kernel_frequency_hz
+        return _running_sum(
+            host_overhead,
+            np.concatenate((step_seconds[:prompt], step_seconds[prompt:] + host_overhead)),
+        )
 
     def run_many(self, workloads: list[Workload]) -> list[InferenceResult]:
         """Run a list of workloads (the Fig. 14 grid) and return all results."""

@@ -70,13 +70,9 @@ class DFXCluster:
         """Seconds for one token step including the host hand-off."""
         return self.core.token_step_seconds(rows, past_length)
 
-    def batched_token_step(self, batch: int, past_length: int) -> TokenStepTiming:
-        """Timing of one lockstep cohort decode step across the cluster."""
-        return self.core.batched_token_step(batch, past_length)
-
-    def batched_token_step_seconds(self, batch: int, past_length: int) -> float:
-        """Seconds for one cohort step including the (shared) host hand-off."""
-        return self.core.batched_token_step_seconds(batch, past_length)
+    def step_table(self, rows: int = 1, batch: int = 1) -> TokenStepTiming:
+        """Token-step timings at every past length (see ``ComputeCore.step_table``)."""
+        return self.core.step_table(rows, batch)
 
     def total_power_watts(self) -> float:
         """Accelerator power of the whole cluster."""

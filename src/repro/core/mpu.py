@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.core.scoreboard import maximum
 from repro.core.tiling import TilingConfig
 from repro.fpga.u280 import DEFAULT_U280, U280Spec
 from repro.isa.instructions import MatrixInstruction
@@ -82,10 +83,12 @@ class MPUModel:
         instruction's weight bytes through the effective HBM bandwidth (or DDR
         for the rare DDR-resident operand).  The per-row cost is the max of
         the two; a fixed issue overhead covers operand collection and
-        microcode generation.
+        microcode generation.  Array-valued dims (a step table's KV lengths)
+        give array-valued cycle counts, element by element the same as the
+        scalar formula.
         """
         tiles_per_row = self.tiling.tiles_for(instruction.in_dim, instruction.out_dim)
-        compute_per_row = float(tiles_per_row)
+        compute_per_row = 1.0 * tiles_per_row
 
         weight_bytes_per_row = instruction.weight_bytes()
         if instruction.weight_space is MemorySpace.DDR:
@@ -105,13 +108,13 @@ class MPUModel:
             weight_bytes_per_row / bytes_per_cycle / instruction.weight_reuse_rows
         )
 
-        per_row = max(compute_per_row, stream_per_row)
+        per_row = maximum(compute_per_row, stream_per_row)
         occupancy = instruction.rows * per_row + self.calibration.matrix_issue_cycles
         # Small matrix operands (the per-head Score / Score x Value products)
         # cannot hide the multiply/adder-tree/SFU pipeline behind streaming, so
-        # the drain shows up as occupancy rather than being overlapped.
-        if tiles_per_row < self.tiling.d:
-            occupancy += self.pipeline_depth_cycles
+        # the drain shows up as occupancy rather than being overlapped (adding
+        # ``depth * False`` is an exact no-op).
+        occupancy += self.pipeline_depth_cycles * (tiles_per_row < self.tiling.d)
         latency = occupancy + self.pipeline_depth_cycles
         return MatrixTiming(
             occupancy_cycles=occupancy,

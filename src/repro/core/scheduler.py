@@ -10,6 +10,10 @@ prefetches and router transfers naturally overlap compute — the paper's
 
 The scheduler also attributes each instruction's occupancy to its phase tag,
 which yields the latency breakdowns of Fig. 4 and Fig. 15.
+
+A program whose KV-length fields hold an array (:meth:`Program.with_kv_length`)
+is replayed for every KV length at once, each element through the same IEEE
+operations as the scalar replay.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.core.dma import DMAModel
 from repro.core.mpu import MPUModel
 from repro.core.router import RouterModel
-from repro.core.scoreboard import Scoreboard
+from repro.core.scoreboard import Scoreboard, maximum
 from repro.core.vpu import VPUModel
 from repro.errors import ExecutionError
 from repro.isa.instructions import (
@@ -50,7 +54,7 @@ class InstructionTrace:
 
 @dataclass
 class ProgramTiming:
-    """Timing result of one program on one device."""
+    """Timing of one program on one device (arrays for an array-valued one)."""
 
     program_name: str
     total_cycles: float
@@ -68,36 +72,6 @@ class ProgramTiming:
         if accounted <= 0:
             return {tag: 0.0 for tag in self.cycles_by_tag}
         return {tag: value / accounted for tag, value in self.cycles_by_tag.items()}
-
-    def scaled(self, factor: float) -> "ProgramTiming":
-        """Return a copy with every cycle count multiplied by ``factor``.
-
-        Used to expand one representative decoder-layer timing to the full
-        ``n_layer`` stack (every layer runs the identical program).
-        """
-        return ProgramTiming(
-            program_name=f"{self.program_name} x{factor:g}",
-            total_cycles=self.total_cycles * factor,
-            cycles_by_tag={tag: v * factor for tag, v in self.cycles_by_tag.items()},
-            cycles_by_unit={unit: v * factor for unit, v in self.cycles_by_unit.items()},
-            traces=[],
-        )
-
-    def merged(self, other: "ProgramTiming") -> "ProgramTiming":
-        """Combine two sequential timings (cycles add, breakdowns merge)."""
-        tags = dict(self.cycles_by_tag)
-        for tag, value in other.cycles_by_tag.items():
-            tags[tag] = tags.get(tag, 0.0) + value
-        units = dict(self.cycles_by_unit)
-        for unit, value in other.cycles_by_unit.items():
-            units[unit] = units.get(unit, 0.0) + value
-        return ProgramTiming(
-            program_name=f"{self.program_name}+{other.program_name}",
-            total_cycles=self.total_cycles + other.total_cycles,
-            cycles_by_tag=tags,
-            cycles_by_unit=units,
-            traces=[],
-        )
 
 
 class TimingScheduler:
@@ -158,13 +132,13 @@ class TimingScheduler:
         for index, instruction in enumerate(program.instructions):
             unit, occupancy, result_latency = self._unit_and_timing(instruction)
             ready = scoreboard.ready_time(instruction.source_operands())
-            start = max(ready, unit_free[unit])
+            start = maximum(ready, unit_free[unit])
             finish = start + occupancy
             unit_free[unit] = finish
             scoreboard.mark_written(
                 instruction.destination_operands(), start + result_latency
             )
-            total = max(total, start + result_latency)
+            total = maximum(total, start + result_latency)
 
             cycles_by_tag[instruction.tag] = (
                 cycles_by_tag.get(instruction.tag, 0.0) + occupancy

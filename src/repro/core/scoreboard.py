@@ -4,13 +4,23 @@ The hardware scoreboard (paper Sec. V-A) marks register-file addresses with
 ``stale`` / ``valid`` bits so chained instructions stall only on true data
 hazards.  The timing simulator's scoreboard does the continuous-time
 equivalent: it records the cycle at which each destination buffer is valid and
-answers "when are all my sources ready?" for the next instruction.
+answers "when are all my sources ready?" for the next instruction.  Ready
+times are floats, or arrays over KV lengths when a step table is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable
+
+import numpy as np
+
+
+def maximum(a, b):
+    """``max(a, b)``, elementwise when either is an array (scalars stay Python)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(a, b)
+    return max(a, b)
 
 
 @dataclass
@@ -33,7 +43,7 @@ class Scoreboard:
         """
         latest = 0.0
         for name in buffers:
-            latest = max(latest, self.ready_cycles.get(name, 0.0))
+            latest = maximum(latest, self.ready_cycles.get(name, 0.0))
         return latest
 
     def mark_written(self, buffers: Iterable[str], at_cycle: float) -> None:
@@ -44,7 +54,7 @@ class Scoreboard:
         """
         for name in buffers:
             current = self.ready_cycles.get(name, 0.0)
-            self.ready_cycles[name] = max(current, at_cycle)
+            self.ready_cycles[name] = maximum(current, at_cycle)
 
     def snapshot(self) -> dict[str, float]:
         """Copy of the current ready-time table (for inspection in tests)."""

@@ -16,8 +16,9 @@ why (64, 16), (32, 32), and (16, 64) tie for performance and (8, 128) /
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.model.config import GPT2Config
@@ -62,18 +63,13 @@ class TilingConfig:
         return self.tile_elements * self.data_bits // 8
 
     def tiles_for(self, in_dim: int, out_dim: int) -> int:
-        """Tiles needed to cover an ``in_dim x out_dim`` weight matrix."""
-        if in_dim <= 0 or out_dim <= 0:
+        """Tiles needed to cover an ``in_dim x out_dim`` weight matrix.
+
+        Integer arrays of dims give an array of tile counts.
+        """
+        if np.min(in_dim) <= 0 or np.min(out_dim) <= 0:
             raise ConfigurationError("matrix dims must be positive")
-        return math.ceil(in_dim / self.d) * math.ceil(out_dim / self.l)
-
-    def effective_rows(self, in_dim: int) -> int:
-        """MAC rows actually used when the contraction dim is ``in_dim``."""
-        return min(self.d, in_dim)
-
-    def effective_lanes(self, out_dim: int) -> int:
-        """Lanes actually used when the output dim is ``out_dim``."""
-        return min(self.l, out_dim)
+        return -(-in_dim // self.d) * -(-out_dim // self.l)
 
     def utilization(self, in_dim: int, out_dim: int) -> float:
         """Fraction of the d*l MACs doing useful work for this matrix shape."""

@@ -8,10 +8,10 @@ and stores bypass the execution stage and take a single cycle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.core.scoreboard import maximum
 from repro.fpga.u280 import DEFAULT_U280, U280Spec
 from repro.isa.instructions import VectorInstruction
 from repro.isa.opcodes import VectorOpcode
@@ -54,9 +54,10 @@ class VPUModel:
 
         Throughput is one ``vector_width`` chunk per cycle per row; the
         operator latency is charged once (deep pipelining), and loads/stores
-        ride the bypass path.
+        ride the bypass path.  An array-valued ``length`` (a step table's KV
+        lengths) gives array-valued cycle counts.
         """
-        chunks_per_row = max(1, math.ceil(instruction.length / self.vector_width))
+        chunks_per_row = maximum(1, -(-instruction.length // self.vector_width))
         op_latency = VECTOR_OP_LATENCY.get(instruction.opcode, 11)
         if instruction.opcode in (VectorOpcode.LOAD, VectorOpcode.STORE):
             issue = self.calibration.vector_issue_cycles // 4

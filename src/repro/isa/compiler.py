@@ -30,6 +30,11 @@ past-length-*independent* program: with one query row the causal mask can
 never exclude a key, so the step program is shared by every token of a
 ``generate()`` call instead of recompiling per token (the hardware analogue:
 the controller only changes the HBM base address between tokens, Sec. V-A).
+
+Decoder-layer programs **declare their KV-length fields** (Query x Key^T
+``out_dim``, four Softmax ``length`` fields, Score x Value ``in_dim``): nothing
+else depends on the past length, so the timing model prices every past length
+from one template (:meth:`Program.with_kv_length`).
 """
 
 from __future__ import annotations
@@ -183,6 +188,7 @@ class DFXCompiler:
 
     def _softmax(
         self,
+        program: Program,
         prefix: str,
         score: str,
         score_max: str,
@@ -190,20 +196,19 @@ class DFXCompiler:
         rows: int,
         kv_len: int,
         tag: str = PHASE_SELF_ATTENTION,
-    ) -> list[Instruction]:
-        """Emit Softmax as vector instructions (sub, exp, accum, recip, mul)."""
-        return [
-            VectorInstruction(VectorOpcode.SUB, dst=f"{prefix}.shifted", src1=score,
-                              src2=score_max, length=kv_len, rows=rows, tag=tag),
-            VectorInstruction(VectorOpcode.EXP, dst=f"{prefix}.exp",
-                              src1=f"{prefix}.shifted", length=kv_len, rows=rows, tag=tag),
-            VectorInstruction(VectorOpcode.ACCUM, dst=f"{prefix}.sum",
-                              src1=f"{prefix}.exp", length=kv_len, rows=rows, tag=tag),
-            VectorInstruction(VectorOpcode.RECIP, dst=f"{prefix}.inv_sum",
-                              src1=f"{prefix}.sum", length=1, rows=rows, tag=tag),
-            VectorInstruction(VectorOpcode.MUL, dst=output, src1=f"{prefix}.exp",
-                              src2=f"{prefix}.inv_sum", length=kv_len, rows=rows, tag=tag),
-        ]
+    ) -> None:
+        """Append Softmax as vector instructions (sub, exp, accum, recip, mul)."""
+
+        def over_kv(opcode: VectorOpcode, dst: str, src1: str, src2: str | None = None):
+            program.append(VectorInstruction(opcode, dst=dst, src1=src1, src2=src2,
+                                             length=kv_len, rows=rows, tag=tag), "length")
+
+        over_kv(VectorOpcode.SUB, f"{prefix}.shifted", score, score_max)
+        over_kv(VectorOpcode.EXP, f"{prefix}.exp", f"{prefix}.shifted")
+        over_kv(VectorOpcode.ACCUM, f"{prefix}.sum", f"{prefix}.exp")
+        program.append(VectorInstruction(VectorOpcode.RECIP, dst=f"{prefix}.inv_sum",
+                                         src1=f"{prefix}.sum", length=1, rows=rows, tag=tag))
+        over_kv(VectorOpcode.MUL, output, f"{prefix}.exp", f"{prefix}.inv_sum")
 
     def _weight_load(self, buffer: str, elements: int, tag: str) -> DMAInstruction:
         """Prefetch a weight matrix from HBM into the DMA weight buffer."""
@@ -303,9 +308,7 @@ class DFXCompiler:
         engine (matrix/vector operands take their true extents from the bound
         buffers), so one cached program serves every token of a generation
         run.  The static shape metadata (``out_dim``, vector ``length``,
-        ``past_length``) is nominal (compiled at past 0) — use
-        :meth:`compile_decoder_layer` for the timing model, which needs exact
-        per-step shapes.
+        ``past_length``) is nominal (compiled at past 0).
         """
         if self._decoder_step_cache is None:
             self._decoder_step_cache = self._build_decoder_layer(
@@ -322,8 +325,9 @@ class DFXCompiler:
         (``weight_reuse_rows=batch``), while the per-stream KV operands keep
         per-row streaming (each stream reads its own cache).  Shapes are exact
         per step, so — like :meth:`compile_decoder_layer` — this is keyed on
-        ``(batch, past_length)``.  The functional batched engine does not
-        execute these programs; it runs the regular (per-stream-shaped)
+        ``(batch, past_length)``; the timing model compiles it once, at past
+        0, as its step-table template.  The functional batched engine does
+        not execute these programs; it runs the regular (per-stream-shaped)
         programs in batched linking mode.
         """
         if batch <= 0:
@@ -449,12 +453,11 @@ class DFXCompiler:
                     input_col_count=head_dim,
                     tag=PHASE_SELF_ATTENTION,
                     comment=f"Query x Key^T, local head {local_head}",
-                )
+                ),
+                "out_dim",
             )
-            program.extend(
-                self._softmax(f"softmax.h{local_head}", score, score_max, probs,
-                              total_rows, kv_len)
-            )
+            self._softmax(program, f"softmax.h{local_head}", score, score_max, probs,
+                          total_rows, kv_len)
             program.append(
                 MatrixInstruction(
                     MatrixOpcode.MM,
@@ -468,7 +471,8 @@ class DFXCompiler:
                     dst_total_cols=local_heads * head_dim,
                     tag=PHASE_SELF_ATTENTION,
                     comment=f"Score x Value, local head {local_head}",
-                )
+                ),
+                "in_dim",
             )
 
         # ---- Sync 1: gather attention-head outputs ---------------------------

@@ -12,6 +12,9 @@ consumed by three clients:
 * the **validator** (``repro.isa.validation``), which checks def-before-use
   and shape consistency.
 
+A shape field may also hold an integer array of KV lengths
+(:meth:`Program.with_kv_length`); the timing engine then prices them all.
+
 Every instruction carries a ``tag`` naming the model phase it belongs to
 (self-attention, FFN, layernorm, residual, synchronization, ...), which is how
 the latency breakdowns of Fig. 4 and Fig. 15 are produced.
@@ -20,6 +23,8 @@ the latency breakdowns of Fig. 4 and Fig. 15 are produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import ProgramValidationError
 from repro.isa.opcodes import (
@@ -31,6 +36,11 @@ from repro.isa.opcodes import (
     VectorOpcode,
 )
 from repro.results import PHASE_OTHER
+
+
+def _smallest(value):
+    """An int shape field itself, or the smallest element of an array field."""
+    return value.min() if isinstance(value, np.ndarray) else value
 
 
 @dataclass(frozen=True)
@@ -123,7 +133,7 @@ class MatrixInstruction(Instruction):
                 f"weight_reuse_rows must divide rows, got "
                 f"{self.weight_reuse_rows} for {self.rows} rows"
             )
-        if self.in_dim <= 0 or self.out_dim <= 0:
+        if _smallest(self.in_dim) <= 0 or _smallest(self.out_dim) <= 0:
             raise ProgramValidationError(
                 f"matrix instruction needs positive dims, got {self.in_dim}x{self.out_dim}"
             )
@@ -158,7 +168,7 @@ class MatrixInstruction(Instruction):
 
     def flops(self) -> float:
         multiply_accumulate = 2.0 * self.rows * self.in_dim * self.out_dim
-        bias = float(self.rows * self.out_dim) if self.bias_operand else 0.0
+        bias = self.rows * self.out_dim * 1.0 if self.bias_operand else 0.0
         return multiply_accumulate + bias
 
 
@@ -179,7 +189,7 @@ class VectorInstruction(Instruction):
     rows: int = 1
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
+        if _smallest(self.length) <= 0:
             raise ProgramValidationError(f"length must be positive, got {self.length}")
         if self.rows <= 0:
             raise ProgramValidationError(f"rows must be positive, got {self.rows}")
@@ -205,7 +215,7 @@ class VectorInstruction(Instruction):
     def flops(self) -> float:
         if self.opcode in (VectorOpcode.LOAD, VectorOpcode.STORE):
             return 0.0
-        return float(self.rows * self.length)
+        return self.rows * self.length * 1.0
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ construction idiom used by the compiler invalidates it naturally.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple
 
 from repro.isa.instructions import (
@@ -46,6 +46,8 @@ class Program:
         past_length: KV-cache length before this program runs.
         inputs: Buffer names expected to be live before execution.
         outputs: Buffer names holding the program's results.
+        kv_fields: Instruction index -> names of its fields that equal the
+            KV length (the cache length after this step's append).
     """
 
     name: str
@@ -54,6 +56,7 @@ class Program:
     past_length: int = 0
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
+    kv_fields: dict[int, tuple[str, ...]] = field(default_factory=dict, repr=False)
     # Memoized derived views, keyed on len(instructions) so that the compiler's
     # append-only construction invalidates them.  Excluded from ==/repr.
     _segment_cache: tuple[int, tuple[ProgramSegment, ...]] | None = field(
@@ -70,13 +73,25 @@ class Program:
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
 
-    def append(self, instruction: Instruction) -> None:
-        """Append one instruction."""
+    def append(self, instruction: Instruction, *kv_fields: str) -> None:
+        """Append one instruction; ``kv_fields`` name its fields that equal
+        the KV length."""
+        if kv_fields:
+            self.kv_fields[len(self.instructions)] = kv_fields
         self.instructions.append(instruction)
 
     def extend(self, instructions: Iterable[Instruction]) -> None:
         """Append several instructions."""
         self.instructions.extend(instructions)
+
+    def with_kv_length(self, kv_length) -> "Program":
+        """A copy whose ``kv_fields`` hold ``kv_length`` (an int, or an int
+        array that the scheduler then replays elementwise)."""
+        instructions = list(self.instructions)
+        for index, fields in self.kv_fields.items():
+            changes = dict.fromkeys(fields, kv_length)
+            instructions[index] = replace(instructions[index], **changes)
+        return replace(self, instructions=instructions)
 
     # ------------------------------------------------------------------ views
     def segments(self) -> tuple[ProgramSegment, ...]:
@@ -135,7 +150,7 @@ class Program:
 
     def total_flops(self) -> float:
         """Total floating-point operations performed by the program."""
-        return float(sum(i.flops() for i in self.instructions))
+        return sum((i.flops() for i in self.instructions), 0.0)
 
     def total_weight_bytes(self) -> int:
         """Bytes of matrix weights streamed from memory by the program."""

@@ -29,6 +29,7 @@ compares serving capacity across every platform the registry knows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -853,13 +854,15 @@ def capacity_search(
     the lowest probed rate violates the SLO, and ``rate_bounds[1]`` when the
     SLO holds all the way to the cap.
     """
-    if slo_s <= 0:
-        raise ConfigurationError("slo_s must be positive")
+    # Chained comparisons are False for NaN, so NaN is refused too.
+    for name, value in (("slo_s", slo_s), ("relative_tolerance", relative_tolerance)):
+        if not 0 < value < math.inf:
+            raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
     low, high = rate_bounds
-    if low <= 0 or high <= low:
-        raise ConfigurationError("rate_bounds must satisfy 0 < low < high")
-    if relative_tolerance <= 0:
-        raise ConfigurationError("relative_tolerance must be positive")
+    if not 0 < low < high < math.inf:
+        raise ConfigurationError(
+            f"rate_bounds must satisfy 0 < low < high < inf, got {rate_bounds!r}"
+        )
 
     reports: dict[float, ServingReport] = {}
 

@@ -45,6 +45,15 @@ class Workload:
         """Final context length (input plus generated tokens)."""
         return self.input_tokens + self.output_tokens
 
+    def check_fits(self, config) -> None:
+        """Refuse a request longer than ``config``'s context window (every
+        appliance model checks it before pricing)."""
+        if self.total_tokens > config.n_positions:
+            raise ConfigurationError(
+                f"workload {self.label} exceeds the model's context window "
+                f"({config.n_positions} tokens)"
+            )
+
     @property
     def generation_iterations(self) -> int:
         """Number of generation-stage iterations after the summarization pass.

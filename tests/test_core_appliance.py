@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.baselines.gpu import GPUAppliance
+from repro.baselines.tpu import TPUBaseline
 from repro.core.appliance import DFXAppliance
 from repro.core.calibration import IDEAL_CALIBRATION
 from repro.errors import ConfigurationError
-from repro.model.config import GPT2_1_5B, GPT2_345M
+from repro.model.config import GPT2_1_5B, GPT2_345M, GPT2_TEST_TINY
 from repro.results import (
     DFX_BREAKDOWN_PHASES,
     PHASE_SELF_ATTENTION,
@@ -42,6 +44,17 @@ class TestRunBasics:
     def test_context_overflow_rejected(self, dfx_1_5b_4dev):
         with pytest.raises(ConfigurationError):
             dfx_1_5b_4dev.run(Workload(1000, 100))
+
+    @pytest.mark.parametrize("appliance", [
+        lambda: DFXAppliance(GPT2_TEST_TINY, num_devices=1),
+        lambda: GPUAppliance(GPT2_TEST_TINY, num_devices=1),
+        lambda: TPUBaseline(GPT2_TEST_TINY),
+    ], ids=["dfx", "gpu", "tpu"])
+    def test_every_platform_refuses_the_same_impossible_request(self, appliance):
+        model = appliance()
+        assert model.run(Workload(64, 64)).latency_ms > 0  # exactly fills 128
+        with pytest.raises(ConfigurationError, match=r"\[128:16\] exceeds .* \(128 tokens\)"):
+            model.run(Workload(128, 16))
 
     def test_run_many_preserves_order(self, dfx_1_5b_4dev):
         workloads = [Workload(32, 1), Workload(32, 4)]

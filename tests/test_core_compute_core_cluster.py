@@ -5,7 +5,7 @@ import pytest
 from repro.core.cluster import DFXCluster
 from repro.core.compute_core import ComputeCore
 from repro.core.device import FPGADevice
-from repro.errors import ResourceExhaustedError
+from repro.errors import ConfigurationError, ResourceExhaustedError
 from repro.model.config import GPT2_1_5B, GPT2_345M
 from repro.parallel.partitioner import build_partition_plan
 
@@ -17,20 +17,30 @@ def core_1_5b():
 
 
 class TestComputeCore:
-    def test_layer_timing_is_cached(self, core_1_5b):
-        first = core_1_5b.layer_timing(1, 10)
-        second = core_1_5b.layer_timing(1, 10)
-        assert first is second
+    def test_step_table_is_built_once_per_shape(self, core_1_5b):
+        assert core_1_5b.step_table() is core_1_5b.step_table(rows=1, batch=1)
+        assert core_1_5b.step_table(batch=4) is not core_1_5b.step_table()
+        with pytest.raises(ConfigurationError, match="one row per stream"):
+            core_1_5b.step_table(rows=2, batch=2)
 
     def test_longer_context_costs_more(self, core_1_5b):
-        short = core_1_5b.layer_timing(1, 8).total_cycles
-        long = core_1_5b.layer_timing(1, 512).total_cycles
+        short = core_1_5b.token_step(1, 8).timing.total_cycles
+        long = core_1_5b.token_step(1, 512).timing.total_cycles
         assert long > short
 
     def test_token_step_includes_all_layers(self, core_1_5b):
         step = core_1_5b.token_step(1, 32)
-        layer = core_1_5b.layer_timing(1, 32)
+        layer = core_1_5b.scheduler.time_program(
+            core_1_5b.compiler.compile_decoder_layer(1, 32)
+        )
         assert step.timing.total_cycles > GPT2_1_5B.n_layer * 0.95 * layer.total_cycles
+
+    def test_steps_past_the_context_window_are_refused(self, core_1_5b):
+        last = GPT2_1_5B.n_positions - 1
+        assert core_1_5b.token_step(1, last).timing.total_cycles > 0
+        for rows, past in ((1, last + 1), (1, -1), (4, last - 2)):
+            with pytest.raises(ConfigurationError, match="context window"):
+                core_1_5b.token_step(rows, past)
 
     def test_token_step_flops_match_partitioned_model_size(self, core_1_5b):
         # Per device, a generation step is dominated by 2 * (params / devices)
@@ -112,12 +122,11 @@ class TestBatchedTokenStep:
         deep = core_1_5b.batched_token_step(8, past_length=512)
         assert deep.timing.total_cycles > shallow.timing.total_cycles
 
-    def test_cluster_delegates_batched_steps(self):
-        plan_config = GPT2_345M
-        cluster = DFXCluster(plan_config, num_devices=4)
-        step = cluster.batched_token_step(4, 16)
-        assert step.rows == 4
-        assert step.timing.total_cycles == (
+    def test_cluster_delegates_step_tables(self):
+        cluster = DFXCluster(GPT2_345M, num_devices=4)
+        table = cluster.step_table(batch=4)
+        assert table is cluster.core.step_table(1, 4)
+        assert table.rows == 4
+        assert table.timing.total_cycles[16] == (
             cluster.core.batched_token_step(4, 16).timing.total_cycles
         )
-        assert cluster.batched_token_step_seconds(4, 16) > 0

@@ -98,17 +98,6 @@ class TestSchedulerBehaviour:
         fractions = _scheduler().time_program(program).breakdown_fractions()
         assert sum(fractions.values()) == pytest.approx(1.0)
 
-    def test_scaled_and_merged_timings(self):
-        plan = build_partition_plan(GPT2_TEST_TINY, 2)
-        program = DFXCompiler(GPT2_TEST_TINY, plan, 0).compile_decoder_layer(1, 0)
-        timing = _scheduler(2).time_program(program)
-        doubled = timing.scaled(2.0)
-        assert doubled.total_cycles == pytest.approx(2 * timing.total_cycles)
-        merged = timing.merged(timing)
-        assert merged.total_cycles == pytest.approx(2 * timing.total_cycles)
-        for tag, value in timing.cycles_by_tag.items():
-            assert merged.cycles_by_tag[tag] == pytest.approx(2 * value)
-
     def test_seconds_conversion(self):
         plan = build_partition_plan(GPT2_TEST_TINY, 2)
         program = DFXCompiler(GPT2_TEST_TINY, plan, 0).compile_decoder_layer(1, 0)

@@ -34,6 +34,21 @@ class TestDecoderLayerProgram:
         assert payloads == [GPT2_1_5B.n_embd, GPT2_1_5B.n_embd,
                             GPT2_1_5B.ffn_dim, GPT2_1_5B.n_embd]
 
+    @pytest.mark.parametrize("rows, past", [(1, 0), (1, 37), (3, 5)])
+    def test_declared_kv_fields_hold_the_kv_length(self, compiler_1_5b, rows, past):
+        program = compiler_1_5b.compile_decoder_layer(rows=rows, past_length=past)
+        longer = program.with_kv_length(past + rows + 10)
+        # Per head: Query x Key^T out_dim, four Softmax lengths, Score x Value in_dim.
+        heads = compiler_1_5b.partition.num_heads
+        assert sum(len(fields) for fields in program.kv_fields.values()) == 6 * heads
+        for index, instruction in enumerate(program.instructions):
+            fields = program.kv_fields.get(index, ())
+            for field in fields:
+                assert getattr(instruction, field) == past + rows
+                assert getattr(longer.instructions[index], field) == past + rows + 10
+            if not fields:
+                assert longer.instructions[index] is instruction
+
     def test_value_projection_comes_before_key_and_query(self, compiler_1_5b):
         # Sec. V-B "Transpose Scheme": Value is computed first so its HBM-side
         # transpose is hidden behind the Key and Query projections.

@@ -1,5 +1,7 @@
 """Tests for the datacenter serving layer (traces, mixes, queueing simulator)."""
 
+import math
+
 import pytest
 
 from repro.backends import make_backend
@@ -17,7 +19,12 @@ from repro.serving.requests import (
     poisson_trace,
     with_service_levels,
 )
-from repro.serving.server import ApplianceServer, LatencyOracle
+from repro.serving.server import (
+    ApplianceServer,
+    LatencyOracle,
+    capacity_search,
+    find_max_rate_under_slo,
+)
 from repro.workloads import Workload
 
 import numpy as np
@@ -432,3 +439,30 @@ class TestWithRealPlatformModels:
         ).serve(trace)
         assert dfx_report.mean_response_time_s < gpu_report.mean_response_time_s
         assert dfx_report.output_tokens_per_second > gpu_report.output_tokens_per_second
+
+
+class TestCapacitySearchArguments:
+    @staticmethod
+    def _unreachable(_):
+        raise AssertionError("a refused search must not probe any rate")
+
+    @pytest.mark.parametrize("field, arguments", [
+        ("slo_s", dict(slo_s=math.nan)),
+        ("slo_s", dict(slo_s=math.inf)),
+        ("relative_tolerance", dict(relative_tolerance=math.nan)),
+        ("relative_tolerance", dict(relative_tolerance=math.inf)),
+        ("rate_bounds", dict(rate_bounds=(math.nan, 4.0))),
+        ("rate_bounds", dict(rate_bounds=(0.5, math.nan))),
+        ("rate_bounds", dict(rate_bounds=(0.5, math.inf))),
+    ])
+    @pytest.mark.parametrize("search", ["capacity_search", "find_max_rate_under_slo"])
+    def test_non_finite_arguments_are_refused(self, search, field, arguments):
+        arguments = {"slo_s": 1.0, **arguments}
+        slo_s = arguments.pop("slo_s")
+        with pytest.raises(ConfigurationError, match=field):
+            if search == "capacity_search":
+                capacity_search(self._unreachable, self._unreachable, slo_s,
+                                platform="p", scheduler_name="fifo", **arguments)
+            else:
+                find_max_rate_under_slo(_FixedLatencyPlatform(1.0), self._unreachable,
+                                        slo_s, **arguments)

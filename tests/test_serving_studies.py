@@ -60,12 +60,13 @@ class TestSlicesMatchDirectServing:
     """One candidate per slice equals the front end served by hand."""
 
     def test_scheduler_comparison(self):
+        # The chatbot mix fits the tiny model's 128-token context window.
         result = experiments.run_scheduler_comparison(
             "gpu", policies=("fifo", "sjf"), arrival_rate_per_s=2.0,
-            duration_s=30.0, num_clusters=1, config=GPT2_TEST_TINY,
-            num_devices=1, seed=4,
+            duration_s=30.0, num_clusters=1, mix=CHATBOT_MIX,
+            config=GPT2_TEST_TINY, num_devices=1, seed=4,
         )
-        trace = poisson_trace(2.0, 30.0, DATACENTER_MIX, seed=4)
+        trace = poisson_trace(2.0, 30.0, CHATBOT_MIX, seed=4)
         report = ApplianceServer(_tiny("gpu"), 1, scheduler="sjf").serve(trace)
         row = _row(result, scheduler="sjf")
         assert row["abandonment_rate"] == report.abandonment_rate
